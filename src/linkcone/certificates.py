@@ -25,7 +25,7 @@ from .links import (
     LinkModel,
     LoopCutResult,
     StratificationError,
-    _split_blocks,
+    _cut_sides,
     is_valid_loop_cut,
     link_entropy,
     link_min_cut,
@@ -60,7 +60,7 @@ def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartit
     """Assign each loop its trit-string and materialize the nonempty cells.
 
     The reconstruction identities (interiors from +1 cells, cuts from 0
-    cells) are asserted before returning.
+    cells) are checked before returning.
     """
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
@@ -87,8 +87,10 @@ def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartit
         rebuilt_cut = frozenset().union(
             *(members for trits, members in frozen_cells.items() if trits[l] == 0)
         )
-        assert rebuilt_interior == cut.interior, "cell reconstruction of a cut interior failed"
-        assert rebuilt_cut == cut.cut, "cell reconstruction of a min-cut failed"
+        if rebuilt_interior != cut.interior:
+            raise RuntimeError("cell reconstruction of a cut interior failed")
+        if rebuilt_cut != cut.cut:
+            raise RuntimeError("cell reconstruction of a min-cut failed")
     return TritPartition(
         length=len(ineq.lhs),
         cells=frozen_cells,
@@ -144,7 +146,11 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
     surviving the scan signals a non-minimal cut or an inconsistent
     structure.
     """
-    partition = build_trit_partition(model, ineq)
+    return _credit_bridges(model, ineq, build_trit_partition(model, ineq))
+
+
+def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPartition) -> OracularIndicatorTable:
+    """The crediting scan of `compute_oracular_indicator` over an already built partition."""
     entries: list[IndicatorEntry] = []
     coloring: dict[int, dict[str, str]] = {}
     for l, subsystem in enumerate(ineq.lhs_subsystems):
@@ -176,10 +182,13 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
             colors[loop] = "green"
             credited_weight += Fraction(model.weights[loop])
             head = cells[0]
-            assert head[l] == 0, "credited cell must sit inside the term's min-cut"
+            if head[l] != 0:
+                raise RuntimeError("credited cell must sit inside the term's min-cut")
             signs = [c[l] for c in cells[1:]]
-            assert all(s in (-1, 1) for s in signs), "covering cells must avoid the cut coordinate"
-            assert 1 in signs and -1 in signs, "a bridge must reach both interior and exterior"
+            if not all(s in (-1, 1) for s in signs):
+                raise RuntimeError("covering cells must avoid the cut coordinate")
+            if not (1 in signs and -1 in signs):
+                raise RuntimeError("a bridge must reach both interior and exterior")
             entries.append(
                 IndicatorEntry(
                     term_index=l,
@@ -195,7 +204,8 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
                 f"min-cut loops {sorted(gray)} of {subsystem_label(subsystem)} "
                 "were never credited by any minimal bridge"
             )
-        assert credited_weight == cut.weight, "credited loop weights must add up to the cut weight"
+        if credited_weight != cut.weight:
+            raise RuntimeError("credited loop weights must add up to the cut weight")
         coloring[l] = colors
     support = frozenset(
         (e.term_index, e.cover_size, e.bridge_size, e.cells) for e in entries
@@ -242,9 +252,7 @@ def _rhs_cut_split(
     if not valid:
         raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
     inside = frozenset(model.external[i] for i in subsystem)
-    blocks = _split_blocks(model, cut_loops)
-    interior = frozenset().union(*(b for b in blocks if b & inside)) if blocks else frozenset()
-    exterior = frozenset(model.loops) - cut_loops - interior
+    interior, exterior = _cut_sides(model, subsystem, cut_loops)
     if interior & model.external_loops != inside:
         raise InconsistentAssignment(
             f"interior externals for {term_name} differ from the term's parties"
@@ -383,7 +391,7 @@ def check_cut_contraction_certificate(
         rhs_cuts.append(cut_loops)
 
     # check 2: per-tuple domination over the indicator support
-    table = compute_oracular_indicator(model, ineq)
+    table = _credit_bridges(model, ineq, partition)
     alphas = ineq.lhs_coeffs
     betas = ineq.rhs_coeffs
     by_tuple: dict[tuple[int, int, tuple[Trits, ...]], set[int]] = {}
@@ -436,7 +444,8 @@ def check_cut_contraction_certificate(
             if (cover, size, cells) in by_tuple:
                 continue
             lhs_value, rhs_value = tuple_sides(cover, size, cells)
-            assert lhs_value == 0 and rhs_value == 0, "zero-support tuples must be trivial"
+            if lhs_value != 0 or rhs_value != 0:
+                raise RuntimeError("zero-support tuples must be trivial")
 
     # check 3: exact weight chain
     lhs_total = sum(
@@ -447,7 +456,8 @@ def check_cut_contraction_certificate(
     for r, (subsystem, beta) in enumerate(ineq.rhs):
         cut_weight = sum((Fraction(model.weights[x]) for x in rhs_cuts[r]), Fraction(0))
         entropy = link_entropy(model, subsystem)
-        assert cut_weight >= entropy, "a valid cut can never undercut the min-cut"
+        if cut_weight < entropy:
+            raise RuntimeError("a valid cut can never undercut the min-cut")
         rhs_cut_total += beta * cut_weight
         rhs_entropy_total += beta * entropy
     diagnostics = {

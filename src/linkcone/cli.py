@@ -153,8 +153,11 @@ def _cmd_check_ineq(args) -> int:
         raise _UsageError("--method certificate requires --map")
     if not isinstance(model, LinkModel):
         raise UncuttableSubsystemError("certificate checking applies to link models")
-    with open(args.map, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    try:
+        with open(args.map, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {args.map}: {exc}") from exc
     cmap = trit_map_from_json(obj, length=len(ineq.lhs), width=len(ineq.rhs))
     result = check_cut_contraction_certificate(model, ineq, cmap, exhaustive=args.exhaustive)
     violation = None

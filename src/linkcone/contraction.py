@@ -219,7 +219,8 @@ def search_contraction_map(
         report = check_graph_contraction(found, ineq)
     else:
         report = check_hypergraph_contraction(found, ineq, rank)
-    assert report.ok, "search returned a map that fails verification"
+    if not report.ok:
+        raise RuntimeError("search returned a map that fails verification")
     return SearchResult(FOUND, mapping=found, nodes=nodes, depth=len(free))
 
 

@@ -17,6 +17,11 @@ is declared combinatorially through one of two structures:
 
 Models are immutable after construction; all queries are pure.  Min-cut
 results are cached per model.
+
+Internally a loop set is an `int` mask over declaration order (bit i is
+`loops[i]`).  The structure is converted once, at construction, and every
+connectivity question goes through `_blocks`; frozensets of loop names
+appear only in public arguments and return values.
 """
 
 from __future__ import annotations
@@ -152,14 +157,28 @@ class LinkModel:
             if w < 0:
                 raise ValueError(f"negative weight on loop {loop!r}")
             self.weights[loop] = w
+        self._cache["index"] = {name: i for i, name in enumerate(self.loops)}
+        self._cache["externals"] = externals
         if isinstance(self.structure, AtomicLinkages):
             for atom in self.structure.atoms:
                 if not atom <= loop_set:
                     raise ValueError(f"atom {sorted(atom)} references unknown loops")
+            self._cache["atoms"] = [_mask_of(self, atom) for atom in self.structure.atoms]
+            # loops in no atom never affect connectivity, so no cut needs them
+            linked = _mask_of(self, set().union(*self.structure.atoms))
         else:
             validate_connectivity_table(self.loops, self.structure)
-        self._cache["index"] = {name: i for i, name in enumerate(self.loops)}
-        self._cache["externals"] = externals
+            self._cache["table"] = {
+                _mask_of(self, combo): sorted(
+                    (_mask_of(self, b) for b in self.structure.blocks(frozenset(combo))),
+                    key=lambda b: b & -b,
+                )
+                for size in range(len(self.loops) + 1)
+                for combo in combinations(self.loops, size)
+            }
+            linked = (1 << len(self.loops)) - 1
+        cuttable = _mask_of(self, [x for x in self.loops if x not in externals and self.is_finite(x)])
+        self._cache["candidates"] = cuttable & linked
 
     @property
     def n(self) -> int:
@@ -196,100 +215,87 @@ class LoopCutResult:
 # connectivity
 
 
-def _mask_setup(model: LinkModel) -> tuple[int, list[int]]:
-    """Full mask plus one bitmask per atom (atoms structure only)."""
-    cached = model._cache.get("masks")
-    if cached is None:
-        index = model._cache["index"]
-        atom_masks = []
-        for atom in model.structure.atoms:
-            mask = 0
-            for name in atom:
-                mask |= 1 << index[name]
-            atom_masks.append(mask)
-        full = (1 << len(model.loops)) - 1
-        cached = (full, atom_masks)
-        model._cache["masks"] = cached
-    return cached
+def _mask_of(model: LinkModel, names) -> int:
+    index = model._cache["index"]
+    mask = 0
+    try:
+        for name in names:
+            mask |= 1 << index[name]
+    except KeyError:
+        raise ValueError(f"unknown loops {sorted(set(names) - set(index))}") from None
+    return mask
 
 
-def _blocks_mask(model: LinkModel, present: int) -> list[int]:
-    """Connected-sublink blocks of the loops in `present`, as bitmasks."""
-    _, atom_masks = _mask_setup(model)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    bits = []
-    probe = present
-    while probe:
-        low = probe & -probe
-        idx = low.bit_length() - 1
-        parent[idx] = idx
-        bits.append(idx)
-        probe ^= low
-    for mask in atom_masks:
-        if mask & ~present:
-            continue
-        members = []
-        probe = mask
-        while probe:
-            low = probe & -probe
-            members.append(low.bit_length() - 1)
-            probe ^= low
-        head = find(members[0])
-        for other in members[1:]:
-            root = find(other)
-            if root != head:
-                parent[root] = head
-    groups: dict[int, int] = {}
-    for idx in bits:
-        root = find(idx)
-        groups[root] = groups.get(root, 0) | (1 << idx)
-    return list(groups.values())
+def _names_of(model: LinkModel, mask: int) -> frozenset[str]:
+    loops = model.loops
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(loops[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
 
 
-def _names_from_mask(model: LinkModel, mask: int) -> frozenset[str]:
-    return frozenset(name for i, name in enumerate(model.loops) if mask & (1 << i))
+def _blocks(model: LinkModel, present: int) -> list[int]:
+    """Connected-sublink blocks of the loops in `present`, ordered by lowest bit.
+
+    A table answers by lookup.  With atoms, each block grows from its
+    lowest loop by absorbing every atom inside `present` that touches it.
+    The returned list may be shared: callers must not mutate it.
+    """
+    table = model._cache.get("table")
+    if table is not None:
+        return table[present]
+    live = [atom for atom in model._cache["atoms"] if not atom & ~present]
+    blocks = []
+    while present:
+        block = present & -present
+        touching = True
+        while touching:
+            touching = [atom for atom in live if atom & block]
+            live = [atom for atom in live if not atom & block]
+            for atom in touching:
+                block |= atom
+        blocks.append(block)
+        present &= ~block
+    return blocks
 
 
 def connected_sublinks(model: LinkModel, subset) -> list[frozenset[str]]:
     """Partition of `subset` into connected sublinks; singletons are their own blocks."""
-    subset = frozenset(subset)
-    unknown = subset - set(model.loops)
-    if unknown:
-        raise ValueError(f"unknown loops {sorted(unknown)}")
-    if isinstance(model.structure, ConnectivityTable):
-        blocks = list(model.structure.blocks(subset))
-    else:
-        mask = 0
-        for name in subset:
-            mask |= 1 << model.loop_index(name)
-        blocks = [_names_from_mask(model, b) for b in _blocks_mask(model, mask)]
-    return sorted(blocks, key=lambda b: min(model.loop_index(x) for x in b))
-
-
-def _split_blocks(model: LinkModel, removed: frozenset[str]) -> list[frozenset[str]]:
-    return connected_sublinks(model, frozenset(model.loops) - removed)
+    mask = _mask_of(model, frozenset(subset))
+    return [_names_of(model, b) for b in _blocks(model, mask)]
 
 
 # ---------------------------------------------------------------------------
 # loop cuts
 
 
-def _subsystem_externals(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[str], frozenset[str]]:
+def _subsystem_externals(model: LinkModel, subsystem: Subsystem) -> tuple[int, int]:
+    """Masks of the subsystem's external loops and of every other external loop."""
     subsystem = frozenset(subsystem)
     if not subsystem or not subsystem <= set(range(1, model.n + 1)):
         raise ValueError(f"subsystem must be a nonempty subset of [{model.n}]")
-    inside = frozenset(model.external[i] for i in subsystem)
-    outside = frozenset(v for i, v in model.external.items() if i not in subsystem)
-    return inside, outside
+    inside = _mask_of(model, [model.external[i] for i in subsystem])
+    return inside, _mask_of(model, model.external.values()) & ~inside
+
+
+def _separates(model: LinkModel, inside: int, outside: int, cut: int) -> bool:
+    """True when no block left after removing `cut` meets both `inside` and `outside`."""
+    rest = ((1 << len(model.loops)) - 1) & ~cut
+    return not any(b & inside and b & outside for b in _blocks(model, rest))
+
+
+def _cut_sides(model: LinkModel, subsystem: Subsystem, cut) -> tuple[frozenset[str], frozenset[str]]:
+    """Interior and exterior left by removing the loops `cut`.
+
+    The interior collects every block that meets the subsystem's external
+    loops; the exterior is the rest.
+    """
+    inside, _ = _subsystem_externals(model, subsystem)
+    rest = ((1 << len(model.loops)) - 1) & ~_mask_of(model, cut)
+    interior = sum(b for b in _blocks(model, rest) if b & inside)  # disjoint blocks: sum is union
+    return _names_of(model, interior), _names_of(model, rest & ~interior)
 
 
 def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
@@ -299,24 +305,7 @@ def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
     bad = [name for name in cut if name in model.external_loops or not model.is_finite(name)]
     if bad:
         raise ValueError(f"cut contains external or infinite-weight loops: {sorted(bad)}")
-    for block in _split_blocks(model, cut):
-        if block & inside and block & outside:
-            return False
-    return True
-
-
-def _cut_candidates(model: LinkModel) -> list[str]:
-    """Internal finite-weight loops that can take part in a cut.
-
-    With an atoms structure, loops in no atom never affect connectivity,
-    so they are never needed in a cut.
-    """
-    ext = model.external_loops
-    names = [name for name in model.loops if name not in ext and model.is_finite(name)]
-    if isinstance(model.structure, AtomicLinkages):
-        in_atoms = set().union(*model.structure.atoms) if model.structure.atoms else set()
-        names = [name for name in names if name in in_atoms]
-    return names
+    return _separates(model, inside, outside, _mask_of(model, cut))
 
 
 def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
@@ -331,43 +320,35 @@ def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
     if cached is not None:
         return cached
     inside, outside = _subsystem_externals(model, subsystem)
-    candidates = _cut_candidates(model)
-    if not is_valid_loop_cut(model, subsystem, frozenset(candidates)):
+    everything = model._cache["candidates"]
+    if not _separates(model, inside, outside, everything):
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )
-    order = sorted(candidates, key=model.loop_index)
-    weights = [Fraction(model.weights[name]) for name in order]
+    order = [i for i in range(len(model.loops)) if everything >> i & 1]
+    weights = [model.weights[model.loops[i]] for i in order]
+    # Cutting every candidate is valid, and the search below reaches it or
+    # a cut that beats it, so it is a safe starting point.
+    best = (sum(weights, Fraction(0)), tuple(order), everything)
 
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    best_cut: frozenset[str] | None = None
-
-    def descend(pos: int, chosen: tuple[str, ...], idx_tuple: tuple[int, ...], weight: Fraction) -> None:
-        nonlocal best, best_cut
-        if best is not None and weight > best[0]:
+    def descend(pos: int, cut: int, idx_tuple: tuple[int, ...], weight: Fraction) -> None:
+        nonlocal best
+        if weight > best[0]:
             return
-        if is_valid_loop_cut(model, subsystem, frozenset(chosen)):
-            key = (weight, idx_tuple)
-            if best is None or key < best:
-                best = key
-                best_cut = frozenset(chosen)
+        if _separates(model, inside, outside, cut):
+            best = min(best, (weight, idx_tuple, cut))
             return
         for j in range(pos, len(order)):
-            descend(
-                j + 1,
-                chosen + (order[j],),
-                idx_tuple + (model.loop_index(order[j]),),
-                weight + weights[j],
-            )
+            i = order[j]
+            descend(j + 1, cut | 1 << i, idx_tuple + (i,), weight + weights[j])
 
-    descend(0, (), (), Fraction(0))
-    assert best is not None and best_cut is not None
-    blocks = _split_blocks(model, best_cut)
-    interior = frozenset().union(*(b for b in blocks if b & inside))
-    exterior = frozenset(model.loops) - best_cut - interior
+    descend(0, 0, (), Fraction(0))
+    weight, _, cut_mask = best
+    cut = _names_of(model, cut_mask)
+    interior, exterior = _cut_sides(model, subsystem, cut)
     result = LoopCutResult(
-        cut=best_cut,
-        weight=best[0],
+        cut=cut,
+        weight=weight,
         interior=interior,
         exterior=exterior,
         tie_break="minimum weight, then lexicographically smallest sorted loop-index list",
@@ -391,13 +372,11 @@ def link_entropy_vector(model: LinkModel) -> EntropyVector:
 def is_irreducible(model: LinkModel, subset) -> bool:
     """True when the subset on its own forms a single linked block of size >= 2."""
     subset = frozenset(subset)
-    if len(subset) < 2:
-        return False
-    return len(connected_sublinks(model, subset)) == 1
+    return len(subset) >= 2 and len(_blocks(model, _mask_of(model, subset))) == 1
 
 
-def _irreducible_family(model: LinkModel) -> tuple[frozenset[str], ...]:
-    """All irreducible sublinks, sorted by size then loop indices.
+def _irreducible_family(model: LinkModel) -> tuple[int, ...]:
+    """Masks of all irreducible sublinks, ordered by size then loop indices.
 
     Enumerates every loop subset, so it is reserved for desk-scale models.
     """
@@ -407,13 +386,11 @@ def _irreducible_family(model: LinkModel) -> tuple[frozenset[str], ...]:
             raise ValueError("irreducible-sublink enumeration is supported for at most 16 loops")
         family = []
         for size in range(2, len(model.loops) + 1):
-            for combo in combinations(model.loops, size):
-                subset = frozenset(combo)
-                if is_irreducible(model, subset):
-                    family.append(subset)
-        cached = tuple(
-            sorted(family, key=lambda b: (len(b), tuple(sorted(model.loop_index(x) for x in b))))
-        )
+            for combo in combinations(range(len(model.loops)), size):
+                mask = sum(1 << i for i in combo)
+                if len(_blocks(model, mask)) == 1:
+                    family.append(mask)
+        cached = tuple(family)
         model._cache["irreducible"] = cached
     return cached
 
@@ -451,17 +428,14 @@ def minimal_bridges(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[s
     if cached is not None:
         return cached
     cut = link_min_cut(model, subsystem)
-    family = _irreducible_family(model)
-    crossing = [
-        b for b in family if b & cut.interior and b & cut.exterior and b & cut.cut
-    ]
-    crossing_set = set(crossing)
-    minimal = []
-    for b in crossing:
-        if any(other < b for other in crossing_set if len(other) < len(b)):
-            continue
-        minimal.append(b)
-    result = tuple(minimal)
+    interior, exterior, removed = (_mask_of(model, x) for x in (cut.interior, cut.exterior, cut.cut))
+    minimal: list[int] = []
+    # the family runs by size, so every crossing proper subset of a bridge
+    # comes first and is either minimal or contains a minimal one
+    for b in _irreducible_family(model):
+        if b & interior and b & exterior and b & removed and all(m & ~b for m in minimal):
+            minimal.append(b)
+    result = tuple(_names_of(model, b) for b in minimal)
     model._cache[("bridges", subsystem)] = result
     return result
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithmic paths: graph cuts by
 bipartition enumeration instead of flow, hypergraph cuts by plain
 exhaustive enumeration without pruning, and link connectivity by BFS
-over an atom-induced adjacency instead of union-find on bitmasks.
+over pairwise adjacency between loop names instead of the library's
+block growth over atom bitmasks.
 """
 
 from __future__ import annotations

@@ -1,0 +1,30 @@
+"""The benchmark's independent oracles, run on the link workloads at smoke size.
+
+`bench/run.py` checks every operation against brute-force min-cuts, BFS
+connectivity and brute-force minimal bridges that import nothing from
+linkcone, so a short run is a second, independent check of the link kernel.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["link-mincut", "link-certify"])
+def test_bench_oracles_pass(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "1", "--size", "smoke"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["attempted"] > 0

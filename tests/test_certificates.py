@@ -1,10 +1,12 @@
 """Trit partitions, the indicator table, and certificate checking."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from linkcone import certificates
 from linkcone.certificates import (
     CertificateError,
     InconsistentAssignment,
@@ -141,6 +143,17 @@ class TestIndicatorTable:
                     Fraction(0),
                 )
                 assert credited == cut.weight == link_entropy(m, SA2.lhs_subsystems[l])
+
+    def test_crediting_mismatch_raises_runtime_error(self, monkeypatch):
+        # a cut whose reported weight disagrees with its loops must stop the
+        # crediting with an exception that `python -O` cannot strip
+        def heavier_cut(model, subsystem):
+            cut = link_min_cut(model, subsystem)
+            return dataclasses.replace(cut, weight=cut.weight + 1)
+
+        monkeypatch.setattr(certificates, "link_min_cut", heavier_cut)
+        with pytest.raises(RuntimeError, match="credited loop weights must add up"):
+            compute_oracular_indicator(ray15_link(), separating_inequality())
 
 
 class TestDeriveAssignment:

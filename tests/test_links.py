@@ -1,5 +1,6 @@
 """Link model: connectivity, loop cuts, bridges, stratification, conversion."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from linkcone.links import (
     LinkModel,
     MonotonicityError,
     UncuttableSubsystemError,
+    _irreducible_family,
     bridge_oracle,
     connected_sublinks,
     has_single_crossing_bridges,
@@ -33,7 +35,7 @@ from linkcone.links import (
     validate_connectivity_table,
 )
 
-from oracles import bruteforce_link_mincut
+from oracles import _bfs_blocks, bruteforce_link_mincut
 
 RAY15_ENTRIES = (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1) + (2,) * 10 + (2, 2, 1, 2, 2, 1)
 
@@ -150,6 +152,39 @@ class TestConnectivityTable:
         }
         with pytest.raises(MonotonicityError):
             validate_connectivity_table(("a", "b", "c"), self._table(blocks))
+
+
+class TestTableMatchesAtoms:
+    """A table spelling out an atom structure's blocks must behave exactly like the atoms."""
+
+    @staticmethod
+    def _pair(seed):
+        atoms_model = generate_link_model(2 + seed % 2, loops=6 + seed % 5, atoms=3 + seed % 6,
+                                          max_arity=3, seed=seed)
+        loops = atoms_model.loops
+        table = {
+            frozenset(c): tuple(_bfs_blocks(atoms_model, frozenset(c)))
+            for size in range(len(loops) + 1)
+            for c in itertools.combinations(loops, size)
+        }
+        table_model = LinkModel(
+            loops=loops,
+            weights=atoms_model.weights,
+            external=atoms_model.external,
+            structure=ConnectivityTable(table),
+        )
+        return atoms_model, table_model, table
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_answers(self, seed):
+        atoms_model, table_model, table = self._pair(seed)
+        for subset in table:
+            assert connected_sublinks(table_model, subset) == connected_sublinks(atoms_model, subset)
+        for sub in all_subsystems(atoms_model.n):
+            a, t = link_min_cut(atoms_model, sub), link_min_cut(table_model, sub)
+            assert (t.cut, t.weight, t.interior, t.exterior) == (a.cut, a.weight, a.interior, a.exterior)
+            assert minimal_bridges(table_model, sub) == minimal_bridges(atoms_model, sub)
+        assert _irreducible_family(table_model) == _irreducible_family(atoms_model)
 
 
 class TestLoopCuts:

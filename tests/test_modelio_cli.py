@@ -205,6 +205,16 @@ class TestCli:
         code = main(["check-ineq", "--model", model, "--ineq", ineq, "--method", "certificate"])
         assert code == 4
 
+    def test_missing_map_is_parse_error(self, tmp_path, capsys):
+        ineq = write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)")
+        missing = str(tmp_path / "missing.json")
+        code = main(["check-ineq", "--builtin", "ray15", "--ineq", ineq,
+                     "--method", "certificate", "--map", missing])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: cannot read")
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", "{not json")
         assert main(["entropy", "--model", bad, "--subsystem", "A"]) == 2
