@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+import string
 import sys
 
 from .certificates import (
@@ -182,17 +184,6 @@ def _cmd_check_ineq(args) -> int:
 
 
 def _cmd_find_contraction(args) -> int:
-    try:
-        with open(args.ineq, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {args.ineq}: {exc}") from exc
-    parties = args.parties
-    if parties is None:
-        letters = {ch for ch in text if ch.isupper()}
-        letters.discard("S")
-        parties = max("ABCDEFGHIJKLMNOPQRSTUVWXYZ".index(ch) + 1 for ch in letters)
-    ineq = parse_inequality(text, parties)
     if args.mode == "graph":
         mode, rank = "graph", None
     elif args.mode.startswith("hypergraph:"):
@@ -201,8 +192,24 @@ def _cmd_find_contraction(args) -> int:
             rank = int(args.mode.split(":", 1)[1])
         except ValueError:
             raise _UsageError(f"bad mode {args.mode!r}") from None
+        if rank < 2:
+            raise _UsageError(f"bad mode {args.mode!r}; the rank must be at least 2")
     else:
         raise _UsageError(f"bad mode {args.mode!r}; expected graph or hypergraph:K")
+    if args.budget is not None and args.budget <= 0:
+        raise _UsageError("--budget must be positive")
+    try:
+        with open(args.ineq, "r", encoding="utf-8") as handle:
+            text = handle.read().strip()
+    except OSError as exc:
+        raise ModelFileError(f"cannot read {args.ineq}: {exc}") from exc
+    parties = args.parties
+    if parties is None:
+        letters = "".join(re.findall(r"S\(\s*([A-Z]+)", text))
+        if not letters:
+            raise InequalityParseError("no S(...) term to infer the party count from")
+        parties = max(string.ascii_uppercase.index(ch) + 1 for ch in letters)
+    ineq = parse_inequality(text, parties)
     result = search_contraction_map(ineq, mode=mode, rank=rank, budget=args.budget)
     if result.status == BUDGET_EXCEEDED:
         print(f"BudgetExceeded nodes={result.nodes}", file=sys.stderr)

@@ -4,7 +4,15 @@ A bitstring map f: {0,1}^L -> {0,1}^R certifies an inequality on graphs
 when it fixes every party's occurrence strings and contracts the
 weighted Hamming norm on all pairs.  On rank-k hypergraphs the pairwise
 norm condition generalizes to a per-coordinate mixed-bits indicator over
-all k-tuples; checking tuples with repetition subsumes every lower rank.
+all k-tuples; checking tuples with repetition subsumes every lower rank,
+and the pairwise norm is rank 2, so graph mode is the rank-2 case.
+
+Strings are ints (bit j = coordinate j) and both sides' coefficients are
+scaled by one common denominator, so a tuple's condition is the exact
+integer comparison ``W_lhs[OR ^ AND of its rows] >= W_rhs[OR ^ AND of
+their images]`` over tables of weights on every mask.  OR and AND ignore
+repeated rows, so a new string x meets the rank-k condition exactly when
+x with every set of 1..k-1 distinct assigned strings does.
 
 The searcher runs exhaustive backtracking with pruning, so an exhausted
 search certifies that no map exists.  A node budget guards instances
@@ -14,10 +22,12 @@ whose search space is astronomically large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
+from math import lcm
+from operator import and_, or_
 
-from .core import Bits, LinearInequality, mixed_indicator, occurrence_bitstrings, weighted_hamming_norm
+from .core import Bits, LinearInequality, occurrence_bitstrings
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -42,9 +52,26 @@ class SearchResult:
     note: str | None = None
 
 
-def _all_bitstrings(length: int) -> list[Bits]:
-    """All bitstrings ordered by Hamming weight, then lexicographically."""
-    return sorted(product((0, 1), repeat=length), key=lambda b: (sum(b), b))
+def _mask(bits: Bits) -> int:
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def _weight_tables(ineq: LinearInequality) -> tuple[list[int], list[int]]:
+    """Integer-scaled coefficient sums over every LHS mask and every RHS mask."""
+    scale = lcm(*(c.denominator for c in ineq.lhs_coeffs + ineq.rhs_coeffs))
+
+    def table(coeffs) -> list[int]:
+        weights = [0]
+        for c in coeffs:
+            weights += [w + int(c * scale) for w in weights]
+        return weights
+
+    return table(ineq.lhs_coeffs), table(ineq.rhs_coeffs)
+
+
+def _mixed(masks: list[int]) -> int:
+    """Mask of the coordinates on which the given strings disagree."""
+    return reduce(or_, masks) ^ reduce(and_, masks)
 
 
 def _fixed_points(ineq: LinearInequality) -> dict[Bits, Bits] | None:
@@ -73,8 +100,8 @@ def _check_totality(mapping: dict[Bits, Bits], ineq: LinearInequality) -> None:
             raise ValueError(f"image of {''.join(map(str, x))} is not a {width}-bit string")
 
 
-def check_graph_contraction(mapping: dict[Bits, Bits], ineq: LinearInequality) -> ContractionReport:
-    """Pairwise weighted-Hamming contraction plus the occurrence fixed points."""
+def _check(mapping: dict[Bits, Bits], ineq: LinearInequality, tuples, reason: str) -> ContractionReport:
+    """Totality, the occurrence fixed points, then the first violating tuple from `tuples()`."""
     _check_totality(mapping, ineq)
     fixed = _fixed_points(ineq)
     if fixed is None:
@@ -84,23 +111,17 @@ def check_graph_contraction(mapping: dict[Bits, Bits], ineq: LinearInequality) -
             return ContractionReport(
                 False, violation=(x,), reason=f"occurrence fixed point broken at {''.join(map(str, x))}"
             )
-    alphas = ineq.lhs_coeffs
-    betas = ineq.rhs_coeffs
-    strings = list(mapping)
-    for i, x in enumerate(strings):
-        for x2 in strings[i + 1 :]:
-            diff = tuple(a - b for a, b in zip(x, x2))
-            image_diff = tuple(a - b for a, b in zip(mapping[x], mapping[x2]))
-            if weighted_hamming_norm(diff, alphas) < weighted_hamming_norm(image_diff, betas):
-                return ContractionReport(False, violation=(x, x2), reason="norm contraction violated")
+    w_lhs, w_rhs = _weight_tables(ineq)
+    masks = {x: (_mask(x), _mask(y)) for x, y in mapping.items()}
+    for rows in tuples():
+        if w_lhs[_mixed([masks[x][0] for x in rows])] < w_rhs[_mixed([masks[x][1] for x in rows])]:
+            return ContractionReport(False, violation=rows, reason=reason)
     return ContractionReport(True)
 
 
-def _indicator_sum(rows: tuple[Bits, ...], coeffs) -> Fraction:
-    total = Fraction(0)
-    for coeff, column in zip(coeffs, zip(*rows)):
-        total += coeff * mixed_indicator(column)
-    return total
+def check_graph_contraction(mapping: dict[Bits, Bits], ineq: LinearInequality) -> ContractionReport:
+    """Pairwise weighted-Hamming contraction plus the occurrence fixed points."""
+    return _check(mapping, ineq, lambda: combinations(mapping, 2), "norm contraction violated")
 
 
 def check_hypergraph_contraction(
@@ -113,28 +134,9 @@ def check_hypergraph_contraction(
     """
     if k < 2:
         raise ValueError("rank must be at least 2")
-    _check_totality(mapping, ineq)
-    fixed = _fixed_points(ineq)
-    if fixed is None:
-        return ContractionReport(False, reason="occurrence bitstrings are contradictory")
-    for x, y in fixed.items():
-        if mapping[x] != y:
-            return ContractionReport(
-                False, violation=(x,), reason=f"occurrence fixed point broken at {''.join(map(str, x))}"
-            )
-    alphas = ineq.lhs_coeffs
-    betas = ineq.rhs_coeffs
-    for rows in combinations_with_replacement(sorted(mapping), k):
-        images = tuple(mapping[x] for x in rows)
-        if _indicator_sum(rows, alphas) < _indicator_sum(images, betas):
-            return ContractionReport(False, violation=rows, reason="indicator contraction violated")
-    return ContractionReport(True)
-
-
-def _pair_ok(x: Bits, y: Bits, x2: Bits, y2: Bits, alphas, betas) -> bool:
-    diff = tuple(a - b for a, b in zip(x, x2))
-    image_diff = tuple(a - b for a, b in zip(y, y2))
-    return weighted_hamming_norm(diff, alphas) >= weighted_hamming_norm(image_diff, betas)
+    return _check(
+        mapping, ineq, lambda: combinations_with_replacement(sorted(mapping), k), "indicator contraction violated"
+    )
 
 
 def search_contraction_map(
@@ -149,77 +151,74 @@ def search_contraction_map(
     occurrence fixed points pre-seeded; candidate images are tried in lex
     order and pruned against every already-assigned string.  Returns the
     first verified map, an exhaustion certificate, or a budget failure
-    (each attempted assignment counts as one node).
+    (each attempted assignment counts as one node).  Graph mode is the
+    rank-2 search.
     """
     if mode not in ("graph", "hypergraph"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "hypergraph":
-        if rank is None or rank < 2:
-            raise ValueError("hypergraph mode needs a rank of at least 2")
+    if mode == "hypergraph" and (rank is None or rank < 2):
+        raise ValueError("hypergraph mode needs a rank of at least 2")
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
 
-    length = len(ineq.lhs)
-    width = len(ineq.rhs)
-    alphas = ineq.lhs_coeffs
-    betas = ineq.rhs_coeffs
     fixed = _fixed_points(ineq)
     if fixed is None:
         return SearchResult(NOT_FOUND, note="occurrence bitstrings are contradictory")
+    w_lhs, w_rhs = _weight_tables(ineq)
+    k = 2 if mode == "graph" else rank
+    assigned: list[tuple[int, int]] = []  # (string mask, image mask) in assignment order
 
-    def consistent_with(assigned: dict[Bits, Bits], x: Bits, y: Bits) -> bool:
-        if mode == "graph":
-            return all(_pair_ok(x, y, x2, y2, alphas, betas) for x2, y2 in assigned.items())
-        others = list(assigned)
-        for repeat in range(1, rank + 1):
-            for rest in combinations_with_replacement(others, rank - repeat):
-                rows = rest + (x,) * repeat
-                images = tuple(assigned[s] for s in rest) + (y,) * repeat
-                if _indicator_sum(rows, alphas) < _indicator_sum(images, betas):
-                    return False
+    def tuples_ok(start: int, x_or: int, x_and: int, y_or: int, y_and: int, more: int) -> bool:
+        # the folded rows joined to every set of 1..more+1 strings from assigned[start:]
+        for x2, y2 in assigned[start:]:
+            start += 1
+            o, a, p, q = x_or | x2, x_and & x2, y_or | y2, y_and & y2
+            if w_lhs[o ^ a] < w_rhs[p ^ q] or (more and not tuples_ok(start, o, a, p, q, more - 1)):
+                return False
         return True
 
-    # the pre-seeded fixed points must already be mutually consistent
-    seeded: dict[Bits, Bits] = {}
-    for x in sorted(fixed, key=lambda b: (sum(b), b)):
-        if not consistent_with(seeded, x, fixed[x]):
+    # strings by Hamming weight, then lexicographically; the pre-seeded
+    # fixed points must already be mutually consistent
+    order = sorted(product((0, 1), repeat=len(ineq.lhs)), key=lambda b: (sum(b), b))
+    found: dict[Bits, Bits] = {}
+    for x in [x for x in order if x in fixed]:
+        xm, ym = _mask(x), _mask(fixed[x])
+        if not tuples_ok(0, xm, xm, ym, ym, k - 2):
             return SearchResult(NOT_FOUND, note="occurrence fixed points are not a contraction")
-        seeded[x] = fixed[x]
+        assigned.append((xm, ym))
+        found[x] = fixed[x]
 
-    free = [x for x in _all_bitstrings(length) if x not in fixed]
-    images = list(product((0, 1), repeat=width))
+    free = [(x, _mask(x)) for x in order if x not in fixed]
+    images = [(y, _mask(y)) for y in product((0, 1), repeat=len(ineq.rhs))]
     nodes = 0
     deepest = 0
 
-    def descend(pos: int, assigned: dict[Bits, Bits]) -> dict[Bits, Bits] | None:
+    def descend(pos: int) -> bool:
         nonlocal nodes, deepest
         deepest = max(deepest, pos)
         if pos == len(free):
-            return dict(assigned)
-        x = free[pos]
-        for y in images:
+            return True
+        x, xm = free[pos]
+        for y, ym in images:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _BudgetExceeded
-            if consistent_with(assigned, x, y):
-                assigned[x] = y
-                found = descend(pos + 1, assigned)
-                if found is not None:
-                    return found
-                del assigned[x]
-        return None
+            if tuples_ok(0, xm, xm, ym, ym, k - 2):
+                assigned.append((xm, ym))
+                found[x] = y
+                if descend(pos + 1):
+                    return True
+                assigned.pop()
+                del found[x]
+        return False
 
     try:
-        found = descend(0, dict(seeded))
+        complete = descend(0)
     except _BudgetExceeded:
         return SearchResult(BUDGET_EXCEEDED, nodes=nodes, depth=deepest)
-    if found is None:
+    if not complete:
         return SearchResult(NOT_FOUND, nodes=nodes, depth=deepest)
-    if mode == "graph":
-        report = check_graph_contraction(found, ineq)
-    else:
-        report = check_hypergraph_contraction(found, ineq, rank)
-    if not report.ok:
+    if not check_hypergraph_contraction(found, ineq, k).ok:
         raise RuntimeError("search returned a map that fails verification")
     return SearchResult(FOUND, mapping=found, nodes=nodes, depth=len(free))
 

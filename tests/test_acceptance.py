@@ -7,6 +7,7 @@ verified map (analysis in that test's docstring).
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -157,18 +158,41 @@ def test_criterion_3_figure_spot_checks():
     report(3, "single/pair/triple cut weights, AC interior, BCD bridge checks exact")
 
 
+def _combination_at(population, size, index):
+    """Combination number `index` of `itertools.combinations(population, size)`."""
+    chosen = []
+    start = 0
+    for slots in range(size, 0, -1):
+        # skip every block of combinations that starts with a smaller element
+        while index >= math.comb(len(population) - start - 1, slots - 1):
+            index -= math.comb(len(population) - start - 1, slots - 1)
+            start += 1
+        chosen.append(population[start])
+        start += 1
+    return tuple(chosen)
+
+
 def _strided_combinations(population, size, cap):
-    total = 1
-    for i in range(size):
-        total = total * (len(population) - i) // (i + 1)
-    combos = itertools.combinations(population, size)
+    total = math.comb(len(population), size)
     if total <= cap:
-        yield from combos
+        yield from itertools.combinations(population, size)
         return
     step = total // cap + 1
-    for index, combo in enumerate(combos):
-        if index % step == 0:
-            yield combo
+    for index in range(0, total, step):
+        yield _combination_at(population, size, index)
+
+
+def test_strided_combinations_match_filtering():
+    def filtered(population, size, cap):
+        total = math.comb(len(population), size)
+        step = 1 if total <= cap else total // cap + 1
+        return [c for i, c in enumerate(itertools.combinations(population, size)) if i % step == 0]
+
+    for n in range(9):
+        population = [f"p{i}" for i in range(n)]
+        for size in range(n + 2):
+            for cap in (1, 2, 3, 5, 8, 100):
+                assert list(_strided_combinations(population, size, cap)) == filtered(population, size, cap)
 
 
 def test_criterion_4_conversion_faithfulness():

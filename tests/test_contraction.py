@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from linkcone.contraction import (
     search_contraction_map,
 )
 from linkcone.core import (
+    LinearInequality,
+    all_subsystems,
     evaluate_inequality,
     mixed_indicator,
     occurrence_bitstrings,
@@ -22,6 +25,8 @@ from linkcone.core import (
 from linkcone.generate import generate_graph, generate_hypergraph
 from linkcone.graphs import graph_entropy_vector
 from linkcone.hypergraphs import hypergraph_entropy_vector
+
+from oracles import reference_graph_check, reference_hypergraph_check, reference_search
 
 SA = parse_inequality("S(A) + S(B) >= S(AB)", 2)
 SSA = parse_inequality("S(AB) + S(BC) >= S(B) + S(ABC)", 3)
@@ -169,6 +174,23 @@ class TestSearch:
         assert consistent_images == []
         assert result.nodes == 2 ** 5
 
+    def test_separating_purifier_orbit_trees(self):
+        # the benchmark's inputs: exhaustive graph-mode runs over the orbit of
+        # the separating inequality under party <-> purifier swaps, and the
+        # A <-> purifier swap at fixed budgets in every mode
+        for party, expected in ((0, (32, 0)), (2, (2880, 6)), (3, (2656, 8)), (4, (2656, 8)), (5, (224, 3))):
+            ineq = SEPARATING if party == 0 else _swap_with_purifier(SEPARATING, party)
+            result = search_contraction_map(ineq, mode="graph")
+            assert (result.status, result.nodes, result.depth) == (NOT_FOUND, *expected), party
+        swapped = _swap_with_purifier(SEPARATING, 1)
+        for mode, rank, budget, expected in (
+            ("graph", None, 1000, (1001, 15)),
+            ("hypergraph", 3, 250, (251, 15)),
+            ("hypergraph", 4, 30, (31, 3)),
+        ):
+            result = search_contraction_map(swapped, mode=mode, rank=rank, budget=budget)
+            assert (result.status, result.nodes, result.depth) == (BUDGET_EXCEEDED, *expected), mode
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             search_contraction_map(SA, mode="graph", budget=0)
@@ -189,6 +211,77 @@ class TestSearch:
             result = search_contraction_map(ineq, mode="graph")
             if result.status == FOUND:
                 assert check_graph_contraction(result.mapping, ineq).ok
+
+
+class TestMatchesReference:
+    """Integer-mask search and checkers against the `Fraction` reference in tests/oracles.py.
+
+    Coefficients mix denominators on both sides, so the common scaling of
+    the weight tables is exercised.
+    """
+
+    COEFFS = tuple(Fraction(c) for c in ("1/2", "2/3", "3/4", "5"))
+
+    def _inequalities(self, seed, count):
+        # sums of one or two relabeled SA/SSA/MMI instances with mixed scales,
+        # extra LHS terms and rescaled terms on both sides: valid and invalid cases
+        # whose occurrence strings often agree, so the searches grow real trees
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.choice((2, 3))
+            lhs, rhs = {}, {}
+            for base in rng.choices((SA,) if n == 2 else (SA, SSA, MMI), k=rng.randint(1, 2)):
+                perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+                scale = rng.choice(self.COEFFS)
+                for side, terms in ((lhs, base.lhs), (rhs, base.rhs)):
+                    for sub, coeff in terms:
+                        sub = frozenset(perm[p] for p in sub)
+                        side[sub] = side.get(sub, 0) + coeff * scale
+            for sub in rng.sample(all_subsystems(n), rng.randint(0, 2)):
+                lhs[sub] = lhs.get(sub, 0) + rng.choice(self.COEFFS)
+            for side in (lhs, rhs):
+                for sub in rng.sample(sorted(side, key=sorted), rng.randint(1, len(side))):
+                    side[sub] *= rng.choice(self.COEFFS)
+            yield rng, LinearInequality(n, tuple(lhs.items()), tuple(rhs.items()))
+
+    def test_search_matches_reference(self):
+        statuses = set()
+        for _, ineq in self._inequalities(3, 30):
+            modes = [("graph", None), ("hypergraph", 3)]
+            if len(ineq.lhs) <= 4:  # the reference needs seconds for rank 4 beyond that
+                modes.append(("hypergraph", 4))
+            for mode, rank in modes:
+                got = search_contraction_map(ineq, mode=mode, rank=rank, budget=80)
+                want = reference_search(ineq, mode=mode, rank=rank, budget=80)
+                assert (got.status, got.nodes, got.depth, got.note) == (
+                    want.status, want.nodes, want.depth, want.note
+                )
+                # the same first map, in the same assignment order
+                assert (got.mapping and list(got.mapping.items())) == (
+                    want.mapping and list(want.mapping.items())
+                )
+                statuses.add(got.status)
+        assert statuses == {FOUND, NOT_FOUND, BUDGET_EXCEEDED}
+
+    def test_checkers_match_reference_on_random_maps(self):
+        verdicts = set()
+        for rng, ineq in self._inequalities(9, 60):
+            xs, ys = occurrence_bitstrings(ineq)
+            strings = list(itertools.product((0, 1), repeat=len(ineq.lhs)))
+            for trial in range(4):
+                rng.shuffle(strings)
+                mapping = {x: tuple(rng.randint(0, 1) for _ in ineq.rhs) for x in strings}
+                if trial % 2:
+                    mapping.update(zip(xs, ys))
+                got = check_graph_contraction(mapping, ineq)
+                assert got == reference_graph_check(mapping, ineq)
+                verdicts.add(got.reason)
+                for k in (2, 3, 4):
+                    got = check_hypergraph_contraction(mapping, ineq, k)
+                    assert got == reference_hypergraph_check(mapping, ineq, k)
+                    verdicts.add(got.reason)
+        assert {None, "norm contraction violated", "indicator contraction violated"} <= verdicts
+        assert any(reason and "fixed point" in reason for reason in verdicts)
 
 
 class TestMmiRankThreeContractionExists:
@@ -238,3 +331,18 @@ class TestSoundnessSmoke:
                                         hyperedges=seed % 7, max_arity=rank, seed=seed)
                 holds, _, _ = evaluate_inequality(ineq, hypergraph_entropy_vector(h))
                 assert holds, (seed,)
+
+
+def _swap_with_purifier(ineq: LinearInequality, party: int) -> LinearInequality:
+    """Exchange `party` with the purifier, then purify the terms that contain it."""
+    everyone = frozenset(range(1, ineq.n + 2))
+
+    def side(terms):
+        merged: dict[frozenset[int], Fraction] = {}
+        for sub, coeff in terms:
+            moved = frozenset(ineq.n + 1 if p == party else p for p in sub)
+            image = everyone - moved if ineq.n + 1 in moved else moved
+            merged[image] = merged.get(image, Fraction(0)) + coeff
+        return tuple(merged.items())
+
+    return LinearInequality(ineq.n, side(ineq.lhs), side(ineq.rhs))

@@ -273,6 +273,33 @@ class TestCli:
         )
         assert main(["find-contraction", "--ineq", ineq, "--mode", "graph", "--budget", "10"]) == 5
 
+    def test_find_contraction_infers_party_s(self, tmp_path, capsys):
+        # S is the 19th party letter, not only the entropy symbol
+        ineq = write(tmp_path, "s19.txt", "S(AS) + S(B) >= S(ABS)")
+        out = str(tmp_path / "map.json")
+        assert main(["find-contraction", "--ineq", ineq, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("found nodes=")
+        from linkcone.contraction import check_graph_contraction
+        from linkcone.core import parse_inequality
+
+        mapping = bit_map_from_json(json.loads((tmp_path / "map.json").read_text()))
+        assert check_graph_contraction(mapping, parse_inequality("S(AS) + S(B) >= S(ABS)", 19)).ok
+
+    @pytest.mark.parametrize("text", ["", "x >= y"])
+    def test_find_contraction_without_terms_is_parse_error(self, tmp_path, capsys, text):
+        ineq = write(tmp_path, "blank.txt", text)
+        assert main(["find-contraction", "--ineq", ineq]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--budget", "0"], ["--budget", "-3"], ["--mode", "hypergraph:1"], ["--mode", "hypergraph:x"]],
+    )
+    def test_find_contraction_bad_option_is_usage_error(self, tmp_path, capsys, options):
+        ineq = write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)")
+        assert main(["find-contraction", "--ineq", ineq, *options]) == 4
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_convert_reports_equal_vectors(self, tmp_path, capsys):
         h = Hypergraph(
             ("a", "b", "c", "o"),
