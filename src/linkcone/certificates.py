@@ -397,16 +397,20 @@ def check_cut_contraction_certificate(
     by_tuple: dict[tuple[int, int, tuple[Trits, ...]], set[int]] = {}
     for l, cover, size, cells in table.support:
         by_tuple.setdefault((cover, size, cells), set()).add(l)
+    # both sides tabulated once: the LHS per support key, the RHS factor per
+    # cell (the betas of the terms its image sends to 0)
+    lhs_of = {key: sum((alphas[l] for l in terms), Fraction(0)) for key, terms in by_tuple.items()}
+    zero_beta = {
+        cell: sum((beta for beta, t in zip(betas, cmap.images[cell]) if t == 0), Fraction(0))
+        for cell in partition.cells
+    }
+    zero = (Fraction(0), Fraction(0))
 
     def tuple_sides(cover: int, size: int, cells: tuple[Trits, ...]):
-        terms = by_tuple.get((cover, size, cells), set())
-        total = len(terms)
-        lhs_value = sum((alphas[l] for l in terms), Fraction(0))
-        head_image = cmap.images[cells[0]]
-        rhs_value = sum(
-            (betas[r] for r in range(len(betas)) if head_image[r] == 0), Fraction(0)
-        ) * total
-        return lhs_value, rhs_value
+        terms = by_tuple.get((cover, size, cells))
+        if terms is None:
+            return zero
+        return lhs_of[cover, size, cells], zero_beta[cells[0]] * len(terms)
 
     for (cover, size, cells) in by_tuple:
         lhs_value, rhs_value = tuple_sides(cover, size, cells)

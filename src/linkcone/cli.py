@@ -198,6 +198,8 @@ def _cmd_find_contraction(args) -> int:
         raise _UsageError(f"bad mode {args.mode!r}; expected graph or hypergraph:K")
     if args.budget is not None and args.budget <= 0:
         raise _UsageError("--budget must be positive")
+    if args.parties is not None and args.parties <= 0:
+        raise _UsageError("--parties must be positive")
     try:
         with open(args.ineq, "r", encoding="utf-8") as handle:
             text = handle.read().strip()

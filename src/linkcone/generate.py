@@ -48,15 +48,17 @@ def generate_link_model(
     externals = _external_names(parties)
     internals = [f"u{i}" for i in range(loops - len(externals))]
     names = externals + internals
+    # index tuples in combinations order; externals come first in `names`,
+    # so a second index past them means at most one external member
     population = [
-        frozenset(combo)
+        combo
         for size in range(2, max_arity + 1)
-        for combo in combinations(names, size)
-        if sum(member in externals for member in combo) <= 1
+        for combo in combinations(range(loops), size)
+        if combo[1] >= len(externals)
     ]
     if atoms > len(population):
         raise ValueError(f"cannot sample {atoms} distinct atoms from {len(population)} candidates")
-    chosen = rng.sample(population, atoms)
+    chosen = [frozenset(names[i] for i in combo) for combo in rng.sample(population, atoms)]
     weights: dict[str, Fraction] = {name: Fraction(1) for name in externals}
     for name in internals:
         weights[name] = Fraction(rng.choice(weight_choices))

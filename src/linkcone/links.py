@@ -21,7 +21,9 @@ results are cached per model.
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
 connectivity question goes through `_blocks`; frozensets of loop names
-appear only in public arguments and return values.
+appear only in public arguments and return values.  Irreducible sublinks
+of an atom structure are grown as chained unions of atoms, so bridges
+never need a scan over every loop subset.
 """
 
 from __future__ import annotations
@@ -378,19 +380,33 @@ def is_irreducible(model: LinkModel, subset) -> bool:
 def _irreducible_family(model: LinkModel) -> tuple[int, ...]:
     """Masks of all irreducible sublinks, ordered by size then loop indices.
 
-    Enumerates every loop subset, so it is reserved for desk-scale models.
+    With atoms, a set is irreducible exactly when it is the union of atoms
+    chained together by shared loops, so the family grows from the atom
+    masks by absorbing every touching atom that adds loops; the cost is
+    family size times atom count.  A table contributes its own
+    single-block entries of size >= 2.  Both are capped at 16 loops.
     """
     cached = model._cache.get("irreducible")
     if cached is None:
         if len(model.loops) > 16:
             raise ValueError("irreducible-sublink enumeration is supported for at most 16 loops")
-        family = []
-        for size in range(2, len(model.loops) + 1):
-            for combo in combinations(range(len(model.loops)), size):
-                mask = sum(1 << i for i in combo)
-                if len(_blocks(model, mask)) == 1:
-                    family.append(mask)
-        cached = tuple(family)
+        table = model._cache.get("table")
+        if table is not None:
+            family = {mask for mask, blocks in table.items() if len(blocks) == 1 and mask & (mask - 1)}
+        else:
+            atoms = model._cache["atoms"]
+            family = set(atoms)
+            pending = list(family)
+            while pending:
+                mask = pending.pop()
+                for atom in atoms:
+                    grown = mask | atom
+                    if atom & mask and grown not in family:
+                        family.add(grown)
+                        pending.append(grown)
+        # the order combinations(range(n), size) gives: size, then ascending loop indices
+        indices = range(len(model.loops))
+        cached = tuple(sorted(family, key=lambda m: (m.bit_count(), [i for i in indices if m >> i & 1])))
         model._cache["irreducible"] = cached
     return cached
 

@@ -4,17 +4,31 @@ These deliberately avoid the library's algorithmic paths: graph cuts by
 bipartition enumeration instead of flow, hypergraph cuts by plain
 exhaustive enumeration without pruning, and link connectivity by BFS
 over pairwise adjacency between loop names instead of the library's
-block growth over atom bitmasks.  Contraction maps are checked and
-searched with `Fraction` sums over bit tuples instead of the library's
-integer-scaled weight tables over bitmasks.
+block growth over atom bitmasks; irreducible sublinks and minimal
+bridges by that BFS over every loop subset instead of atom unions.
+Contraction maps are checked and searched with `Fraction` sums over bit
+tuples instead of the library's integer-scaled weight tables over
+bitmasks.  The link-model generator and the certificate check are kept
+as the library had them before their speed-ups, as references that
+generated models and check reports must match.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
+from linkcone.certificates import (
+    CertificateCheck,
+    CertificateError,
+    InconsistentAssignment,
+    TritContractionMap,
+    _credit_bridges,
+    _rhs_cut_split,
+    build_trit_partition,
+)
 from linkcone.contraction import BUDGET_EXCEEDED, FOUND, NOT_FOUND, ContractionReport, SearchResult
 from linkcone.core import (
     Bits,
@@ -22,11 +36,13 @@ from linkcone.core import (
     Subsystem,
     mixed_indicator,
     occurrence_bitstrings,
+    party_letter,
+    subsystem_label,
     weighted_hamming_norm,
 )
 from linkcone.graphs import WeightedGraph
 from linkcone.hypergraphs import Hypergraph
-from linkcone.links import AtomicLinkages, LinkModel
+from linkcone.links import AtomicLinkages, LinkModel, link_entropy
 
 
 def bipartition_graph_mincut(graph: WeightedGraph, subsystem: Subsystem) -> Fraction:
@@ -122,6 +138,34 @@ def bruteforce_link_mincut(model: LinkModel, subsystem: Subsystem):
                 best = (key, cut)
     assert best is not None, "no valid cut exists"
     return best[0][0], best[1]
+
+
+def bruteforce_irreducible_family(model: LinkModel) -> list[int]:
+    """Masks of every loop subset that BFS finds to be one block of size >= 2.
+
+    Ordered by size, then by the ascending list of loop indices.
+    """
+    family = []
+    for size in range(2, len(model.loops) + 1):
+        for combo in itertools.combinations(range(len(model.loops)), size):
+            if len(_bfs_blocks(model, frozenset(model.loops[i] for i in combo))) == 1:
+                family.append(sum(1 << i for i in combo))
+    return family
+
+
+def bruteforce_minimal_bridges(model: LinkModel, family: list[int], cut) -> list[frozenset[str]]:
+    """Irreducible sets crossing `cut` (a link_min_cut result) with no crossing proper subset.
+
+    `family` is `bruteforce_irreducible_family(model)`; every pair of
+    crossing sets is compared, and the result keeps the family's order.
+    """
+    def mask(names) -> int:
+        return sum(1 << model.loop_index(x) for x in names)
+
+    interior, exterior, removed = mask(cut.interior), mask(cut.exterior), mask(cut.cut)
+    crossing = [b for b in family if b & interior and b & exterior and b & removed]
+    minimal = [b for b in crossing if not any(o != b and o & b == o for o in crossing)]
+    return [frozenset(x for i, x in enumerate(model.loops) if b >> i & 1) for b in minimal]
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +358,177 @@ def reference_search(
 
 class _BudgetExceeded(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# link-model generation and certificate checking as the library did them
+# before the index-tuple atom population and the tabulated per-tuple sides
+
+
+def reference_generate_link_model(
+    parties: int,
+    loops: int,
+    atoms: int,
+    max_arity: int,
+    seed: int,
+    weight_choices: tuple[int, ...] = (1, 2, 3, 4),
+) -> LinkModel:
+    """`generate_link_model` sampling from a population of name frozensets."""
+    if loops < parties + 1:
+        raise ValueError("need at least one loop per party plus the purifier")
+    if atoms < 0:
+        raise ValueError("atom count must be nonnegative")
+    if not 2 <= max_arity <= loops:
+        raise ValueError("max arity must lie between 2 and the loop count")
+    rng = random.Random(seed)
+    externals = [party_letter(i) for i in range(1, parties + 2)]
+    internals = [f"u{i}" for i in range(loops - len(externals))]
+    names = externals + internals
+    population = [
+        frozenset(combo)
+        for size in range(2, max_arity + 1)
+        for combo in itertools.combinations(names, size)
+        if sum(member in externals for member in combo) <= 1
+    ]
+    if atoms > len(population):
+        raise ValueError(f"cannot sample {atoms} distinct atoms from {len(population)} candidates")
+    chosen = rng.sample(population, atoms)
+    weights: dict[str, Fraction] = {name: Fraction(1) for name in externals}
+    for name in internals:
+        weights[name] = Fraction(rng.choice(weight_choices))
+    return LinkModel(
+        loops=tuple(names),
+        weights=weights,
+        external={i + 1: name for i, name in enumerate(externals)},
+        structure=AtomicLinkages(tuple(chosen)),
+    )
+
+
+def reference_check_cut_contraction_certificate(
+    model: LinkModel,
+    ineq: LinearInequality,
+    cmap: TritContractionMap,
+    exhaustive: bool = False,
+    sample_seed: int = 0,
+) -> CertificateCheck:
+    """`check_cut_contraction_certificate` summing both sides afresh for every tuple."""
+    partition = build_trit_partition(model, ineq)
+    undefined = [cell for cell in partition.cells if cell not in cmap.images]
+    if undefined:
+        raise CertificateError(f"map undefined on nonempty cells: {sorted(undefined)}")
+    if cmap.length != partition.length or cmap.width != len(ineq.rhs):
+        raise CertificateError("map dimensions do not match the inequality")
+
+    rhs_cuts: list[frozenset[str]] = []
+    for r, subsystem in enumerate(ineq.rhs_subsystems):
+        term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
+        zero_cells = [cell for cell in partition.cells if cmap.images[cell][r] == 0]
+        try:
+            cut_loops, interior, exterior = _rhs_cut_split(
+                model, subsystem, zero_cells, partition, term_name
+            )
+        except InconsistentAssignment as exc:
+            return CertificateCheck(ok=False, reason=str(exc))
+        for cell, members in partition.cells.items():
+            value = cmap.images[cell][r]
+            if value == 0:
+                continue
+            if members <= interior:
+                expected = 1
+            elif members <= exterior:
+                expected = -1
+            else:
+                return CertificateCheck(
+                    ok=False,
+                    reason=f"cell {cell} straddles the interior and exterior of {term_name}",
+                )
+            if value != expected:
+                return CertificateCheck(
+                    ok=False,
+                    reason=(
+                        f"cell {cell} is assigned {value} for {term_name} "
+                        f"but lies in the {'interior' if expected == 1 else 'exterior'}"
+                    ),
+                )
+        rhs_cuts.append(cut_loops)
+
+    table = _credit_bridges(model, ineq, partition)
+    alphas = ineq.lhs_coeffs
+    betas = ineq.rhs_coeffs
+    by_tuple: dict[tuple, set[int]] = {}
+    for l, cover, size, cells in table.support:
+        by_tuple.setdefault((cover, size, cells), set()).add(l)
+
+    def tuple_sides(cover, size, cells):
+        terms = by_tuple.get((cover, size, cells), set())
+        total = len(terms)
+        lhs_value = sum((alphas[l] for l in terms), Fraction(0))
+        head_image = cmap.images[cells[0]]
+        rhs_value = sum(
+            (betas[r] for r in range(len(betas)) if head_image[r] == 0), Fraction(0)
+        ) * total
+        return lhs_value, rhs_value
+
+    for (cover, size, cells) in by_tuple:
+        lhs_value, rhs_value = tuple_sides(cover, size, cells)
+        if lhs_value < rhs_value:
+            return CertificateCheck(
+                ok=False,
+                reason="contraction condition violated on a covering tuple",
+                violation=(cover, size, cells),
+                diagnostics={"lhs": lhs_value, "rhs": rhs_value},
+            )
+
+    nonempty_cells = sorted(partition.cells)
+    if exhaustive:
+        for cover in range(3, len(nonempty_cells) + 1):
+            for head in nonempty_cells:
+                for rest in itertools.combinations([c for c in nonempty_cells if c != head], cover - 1):
+                    cells = (head, *sorted(rest))
+                    for size in range(cover, len(model.loops) + 1):
+                        lhs_value, rhs_value = tuple_sides(cover, size, cells)
+                        if lhs_value < rhs_value:
+                            return CertificateCheck(
+                                ok=False,
+                                reason="contraction condition violated on a covering tuple",
+                                violation=(cover, size, cells),
+                                diagnostics={"lhs": lhs_value, "rhs": rhs_value},
+                            )
+    elif len(nonempty_cells) >= 3:
+        rng = random.Random(sample_seed)
+        for _ in range(50):
+            cover = rng.randint(3, len(nonempty_cells))
+            head = rng.choice(nonempty_cells)
+            rest = rng.sample([c for c in nonempty_cells if c != head], cover - 1)
+            cells = (head, *sorted(rest))
+            size = rng.randint(cover, max(cover, len(model.loops)))
+            if (cover, size, cells) in by_tuple:
+                continue
+            lhs_value, rhs_value = tuple_sides(cover, size, cells)
+            if lhs_value != 0 or rhs_value != 0:
+                raise RuntimeError("zero-support tuples must be trivial")
+
+    lhs_total = sum(
+        (alpha * cut.weight for alpha, cut in zip(alphas, partition.cuts)), Fraction(0)
+    )
+    rhs_cut_total = Fraction(0)
+    rhs_entropy_total = Fraction(0)
+    for r, (subsystem, beta) in enumerate(ineq.rhs):
+        cut_weight = sum((Fraction(model.weights[x]) for x in rhs_cuts[r]), Fraction(0))
+        entropy = link_entropy(model, subsystem)
+        if cut_weight < entropy:
+            raise RuntimeError("a valid cut can never undercut the min-cut")
+        rhs_cut_total += beta * cut_weight
+        rhs_entropy_total += beta * entropy
+    diagnostics = {
+        "lhs_cut_weight": lhs_total,
+        "rhs_cut_weight": rhs_cut_total,
+        "rhs_entropy": rhs_entropy_total,
+    }
+    if lhs_total < rhs_cut_total:
+        return CertificateCheck(
+            ok=False,
+            reason="weight accounting failed: LHS min-cut weight below assembled RHS cut weight",
+            diagnostics=diagnostics,
+        )
+    return CertificateCheck(ok=True, diagnostics=diagnostics)

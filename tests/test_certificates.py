@@ -27,6 +27,8 @@ from linkcone.links import (
     ray15_link,
 )
 
+from oracles import reference_check_cut_contraction_certificate
+
 SA2 = parse_inequality("S(A) + S(B) >= S(AB)", 2)
 
 
@@ -310,3 +312,55 @@ class TestCertificateCheck:
         assert check_inequality_direct(m, separating_inequality()) == (False, 11, 12)
         holds, lhs, rhs = check_inequality_direct(m, parse_inequality("S(A) + S(B) >= S(AB)", 5))
         assert holds and lhs == 2 and rhs == 1
+
+
+class TestCheckMatchesReference:
+    """The tabulated per-tuple check reports exactly what the summing reference reports."""
+
+    INEQS = {
+        2: ["S(A) + S(B) >= S(AB)", "1/2 S(A) + 3 S(B) >= 3/2 S(AB)", "S(A) + S(B) >= 2 S(AB)",
+            "2/3 S(A) + 2/3 S(B) >= S(AB)"],
+        3: ["S(A) + S(B) >= S(AB)", "S(AB) + S(C) >= S(ABC)", "S(AB) + 1/2 S(C) >= 4/3 S(ABC)",
+            "S(AB) + S(BC) >= S(B) + S(ABC)"],
+    }
+
+    @staticmethod
+    def _report(check, model, ineq, cmap, exhaustive):
+        result = check(model, ineq, cmap, exhaustive=exhaustive)
+        return result.ok, result.reason, result.violation, result.diagnostics
+
+    @staticmethod
+    def _maps(model, ineq, rng):
+        """The union-cut map, maps derived from random zeros, and one single-cell mutant of each."""
+        part = build_trit_partition(model, ineq)
+        cells = sorted(part.cells)
+        zero_sets = [union_cut_zero_assignment(part)] if len(ineq.rhs) == 1 else []
+        for _ in range(5):
+            zero_sets.append({c: {r for r in range(len(ineq.rhs)) if rng.random() < 0.4} for c in cells})
+        maps = []
+        for zeros in zero_sets:
+            try:
+                maps.append(derive_rhs_assignment(model, ineq, zeros, part))
+            except InconsistentAssignment:
+                pass
+        for cmap in list(maps):
+            images = dict(cmap.images)
+            images[rng.choice(cells)] = tuple(rng.choice((-1, 0, 1)) for _ in range(cmap.width))
+            maps.append(TritContractionMap(images=images, length=cmap.length, width=cmap.width))
+        return maps
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_reports_equal(self, exhaustive):
+        rng = random.Random(3)
+        outcomes = set()
+        for seed in range(24):
+            parties = 2 + seed % 2
+            m = generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5,
+                                                   max_arity=4, seed=seed)
+            for text in self.INEQS[parties]:
+                ineq = parse_inequality(text, parties)
+                for cmap in self._maps(m, ineq, rng):
+                    expected = self._report(reference_check_cut_contraction_certificate, m, ineq, cmap, exhaustive)
+                    assert self._report(check_cut_contraction_certificate, m, ineq, cmap, exhaustive) == expected
+                    outcomes.add("ok" if expected[0] else "violation" if expected[2] else "rejected")
+        assert outcomes == {"ok", "violation", "rejected"}

@@ -35,7 +35,12 @@ from linkcone.links import (
     validate_connectivity_table,
 )
 
-from oracles import _bfs_blocks, bruteforce_link_mincut
+from oracles import (
+    _bfs_blocks,
+    bruteforce_irreducible_family,
+    bruteforce_link_mincut,
+    bruteforce_minimal_bridges,
+)
 
 RAY15_ENTRIES = (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1) + (2,) * 10 + (2, 2, 1, 2, 2, 1)
 
@@ -185,6 +190,22 @@ class TestTableMatchesAtoms:
             assert (t.cut, t.weight, t.interior, t.exterior) == (a.cut, a.weight, a.interior, a.exterior)
             assert minimal_bridges(table_model, sub) == minimal_bridges(atoms_model, sub)
         assert _irreducible_family(table_model) == _irreducible_family(atoms_model)
+
+
+class TestFamilyMatchesBruteForce:
+    """Atom-union growth of the irreducible family against BFS over every loop subset."""
+
+    @pytest.mark.parametrize("loops", range(6, 14))
+    @pytest.mark.parametrize("atoms", [0, 3, 7])
+    def test_family_and_bridges(self, loops, atoms):
+        model = generate_link_model(2 + loops % 2, loops, atoms, max_arity=2 + (loops + atoms) % 3,
+                                    seed=100 * loops + atoms)
+        family = bruteforce_irreducible_family(model)
+        assert list(_irreducible_family(model)) == family
+        assert atoms or not family
+        for sub in all_subsystems(model.n):
+            expected = bruteforce_minimal_bridges(model, family, link_min_cut(model, sub))
+            assert list(minimal_bridges(model, sub)) == expected
 
 
 class TestLoopCuts:

@@ -1,6 +1,7 @@
 """File formats and the command-line surface, including the exit-code contract."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from linkcone.modelio import (
     trit_map_from_json,
     trit_map_to_json,
 )
+
+from oracles import reference_generate_link_model
 
 RAY15_LABELED = {
     "A": 1, "AB": 1, "AC": 2, "ABDE": 1, "ABCDE": 1, "ABCD": 2,
@@ -293,11 +296,24 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "options",
-        [["--budget", "0"], ["--budget", "-3"], ["--mode", "hypergraph:1"], ["--mode", "hypergraph:x"]],
+        [
+            ["--budget", "0"],
+            ["--budget", "-3"],
+            ["--mode", "hypergraph:1"],
+            ["--mode", "hypergraph:x"],
+            ["--parties", "0"],
+            ["--parties", "-2"],
+        ],
     )
     def test_find_contraction_bad_option_is_usage_error(self, tmp_path, capsys, options):
         ineq = write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)")
         assert main(["find-contraction", "--ineq", ineq, *options]) == 4
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("options", [["--budget", "0"], ["--parties", "0"]])
+    def test_find_contraction_bad_option_checked_before_reading(self, tmp_path, capsys, options):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["find-contraction", "--ineq", missing, *options]) == 4
         assert capsys.readouterr().err.startswith("usage error:")
 
     def test_convert_reports_equal_vectors(self, tmp_path, capsys):
@@ -321,6 +337,24 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_generated_models_match_reference_sampler(self):
+        rng = random.Random(5)
+        compared = 0
+        for _ in range(200):
+            parties = rng.randint(1, 4)
+            loops = rng.randint(parties + 1, 20)
+            args = (parties, loops, rng.randint(0, 12), rng.randint(2, min(5, loops)), rng.randrange(2**31))
+            try:
+                expected = model_to_json(reference_generate_link_model(*args))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    generate_link_model(*args)
+                assert str(raised.value) == str(exc)
+                continue
+            assert dumps_json(model_to_json(generate_link_model(*args))) == dumps_json(expected)
+            compared += 1
+        assert compared >= 150
 
     def test_generate_zero_atoms_zero_vector(self, tmp_path, capsys):
         out = str(tmp_path / "m.json")
