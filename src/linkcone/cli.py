@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ineq", required=True, help="inequality text file")
     p.add_argument("--method", choices=["direct", "certificate"], default="direct")
     p.add_argument("--map", help="trit map file for the certificate method")
-    p.add_argument("--exhaustive", action="store_true", help="check every covering tuple")
+    p.add_argument("--exhaustive", action="store_true", help="no effect: every tuple that can fail is always checked")
     p.set_defaults(func=_cmd_check_ineq)
 
     p = sub.add_parser("find-contraction", help="search for a contraction map")

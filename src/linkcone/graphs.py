@@ -1,19 +1,21 @@
 """Weighted-graph min-cut entropy model.
 
 Subsystem entropy is the minimum total weight of edges separating the
-subsystem's external vertices from all other external vertices.  The
-default solver is an augmenting-path max-flow over exact rationals; the
-test suite cross-checks it against exhaustive bipartition enumeration.
+subsystem's external vertices from all other external vertices.  It is
+one integer max-flow (`flow.Network`) per subsystem, with the weights
+scaled by the least common multiple of their denominators and the flow
+divided back, so the result is the exact rational; the test suite
+cross-checks it against exhaustive bipartition enumeration.
 Graphs are treated as immutable once built and every query is pure.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EntropyVector, Subsystem, all_subsystems
+from .flow import Network, scale_of, scaled
 
 
 @dataclass
@@ -59,63 +61,23 @@ class WeightedGraph:
         return len(self.external) - 1
 
 
-def _max_flow(capacity: dict[tuple[str, str], Fraction], source: str, sink: str) -> Fraction:
-    """Edmonds-Karp max flow with exact rational capacities."""
-    residual: dict[str, dict[str, Fraction]] = defaultdict(dict)
-    for (u, v), cap in capacity.items():
-        residual[u][v] = residual[u].get(v, Fraction(0)) + cap
-        residual[v].setdefault(u, Fraction(0))
-    flow = Fraction(0)
-    while True:
-        parent: dict[str, str] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            node = queue.popleft()
-            for nxt, cap in residual[node].items():
-                if cap > 0 and nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if sink not in parent:
-            return flow
-        bottleneck = None
-        node = sink
-        while node != source:
-            prev = parent[node]
-            cap = residual[prev][node]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            node = prev
-        node = sink
-        while node != source:
-            prev = parent[node]
-            residual[prev][node] -= bottleneck
-            residual[node][prev] = residual[node].get(prev, Fraction(0)) + bottleneck
-            node = prev
-        flow += bottleneck
-
-
 def graph_entropy(graph: WeightedGraph, subsystem: Subsystem) -> Fraction:
     """Min-cut weight separating the subsystem's externals from all others."""
     subsystem = frozenset(subsystem)
     if not subsystem or not subsystem <= set(range(1, graph.n + 1)):
         raise ValueError(f"subsystem must be a nonempty subset of [{graph.n}]")
-    source_vertices = {graph.external[i] for i in subsystem}
-    sink_vertices = {v for i, v in graph.external.items() if i not in subsystem}
-
-    def merged(v: str) -> str:
-        if v in source_vertices:
-            return "\x00source"
-        if v in sink_vertices:
-            return "\x00sink"
-        return v
-
-    capacity: dict[tuple[str, str], Fraction] = defaultdict(Fraction)
+    # the subsystem's externals merge into the source, the others into the sink
+    node = {v: i for i, v in enumerate(graph.vertices)}
+    source, sink = len(node), len(node) + 1
+    for party, v in graph.external.items():
+        node[v] = source if party in subsystem else sink
+    scale = scale_of(w for _, _, w in graph.edges)
+    network = Network(len(node) + 2)
     for u, v, w in graph.edges:
-        mu, mv = merged(u), merged(v)
-        if mu == mv:
-            continue
-        capacity[(mu, mv)] += w
-        capacity[(mv, mu)] += w
-    return _max_flow(dict(capacity), "\x00source", "\x00sink")
+        if node[u] != node[v]:
+            c = scaled(w, scale)
+            network.add(node[u], node[v], c, c)
+    return Fraction(network.max_flow(source, sink), scale)
 
 
 def graph_entropy_vector(graph: WeightedGraph) -> EntropyVector:

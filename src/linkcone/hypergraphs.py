@@ -1,11 +1,16 @@
 """Rank-k hypergraph min-cut entropy model.
 
 A hyperedge contributes its weight to a cut exactly when the chosen
-vertex set splits its members.  Entropies are computed by exhaustive
-enumeration over internal-vertex subsets with branch-and-bound pruning;
-instances here are desk-scale, so exactness and simplicity win over a
-flow reduction.  Models are immutable by convention and queries have no
-shared state, so concurrent use is safe.
+vertex set splits its members.  Each entropy is one integer max-flow
+(`flow.Network`) on Lawler's hypergraph-cut network (E. L. Lawler,
+*Cutsets and partitions of hypergraphs*, Networks 3, 1973): a hyperedge
+becomes an arc of its weight from an entry node to an exit node, every
+member feeds the entry and is fed by the exit through uncuttable arcs,
+so a finite cut severs exactly the hyperedges a vertex set splits.
+Weights are scaled by the least common multiple of their denominators
+and the flow divided back, so the result is the exact rational.  Models
+are immutable by convention and queries have no shared state, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EntropyVector, Subsystem, all_subsystems
+from .flow import Network, scale_of, scaled
 
 
 @dataclass
@@ -78,46 +84,25 @@ def hypergraph_entropy(hypergraph: Hypergraph, subsystem: Subsystem) -> Fraction
     subsystem = frozenset(subsystem)
     if not subsystem or not subsystem <= set(range(1, hypergraph.n + 1)):
         raise ValueError(f"subsystem must be a nonempty subset of [{hypergraph.n}]")
-    inside_fixed = {hypergraph.external[i] for i in subsystem}
-    outside_fixed = {v for i, v in hypergraph.external.items() if i not in subsystem}
-    internal = [v for v in hypergraph.vertices if v not in inside_fixed and v not in outside_fixed]
-
-    edges = hypergraph.hyperedges
-    best = hypergraph_cut_weight(hypergraph, inside_fixed)
-
-    def settled_weight(assignment: dict[str, bool]) -> Fraction:
-        # weight of edges already guaranteed split by the partial assignment
-        total = Fraction(0)
-        for members, w in edges:
-            has_in = has_out = False
-            for m in members:
-                side = assignment.get(m)
-                if side is True:
-                    has_in = True
-                elif side is False:
-                    has_out = True
-            if has_in and has_out:
-                total += w
-        return total
-
-    assignment: dict[str, bool] = {v: True for v in inside_fixed}
-    assignment.update({v: False for v in outside_fixed})
-
-    def descend(index: int) -> None:
-        nonlocal best
-        if settled_weight(assignment) >= best:
-            return
-        if index == len(internal):
-            best = min(best, settled_weight(assignment))
-            return
-        vertex = internal[index]
-        for side in (False, True):
-            assignment[vertex] = side
-            descend(index + 1)
-        del assignment[vertex]
-
-    descend(0)
-    return best
+    # Lawler's network: hyperedge k is an arc in(k) -> out(k) of its weight,
+    # and every member v has uncuttable arcs v -> in(k) and out(k) -> v
+    node = {v: i for i, v in enumerate(hypergraph.vertices)}
+    base = len(node)
+    sink = base + 2 * len(hypergraph.hyperedges) + 1
+    source = sink - 1
+    for party, v in hypergraph.external.items():
+        node[v] = source if party in subsystem else sink
+    scale = scale_of(w for _, w in hypergraph.hyperedges)
+    caps = [scaled(w, scale) for _, w in hypergraph.hyperedges]
+    big = sum(caps) + 1
+    network = Network(sink + 1)
+    for k, ((members, _), c) in enumerate(zip(hypergraph.hyperedges, caps)):
+        e_in, e_out = base + 2 * k, base + 2 * k + 1
+        network.add(e_in, e_out, c)
+        for v in members:
+            network.add(node[v], e_in, big)
+            network.add(e_out, node[v], big)
+    return Fraction(network.max_flow(source, sink), scale)
 
 
 def hypergraph_entropy_vector(hypergraph: Hypergraph) -> EntropyVector:

@@ -24,6 +24,13 @@ connectivity question goes through `_blocks`; frozensets of loop names
 appear only in public arguments and return values.  Irreducible sublinks
 of an atom structure are grown as chained unions of atoms, so bridges
 never need a scan over every loop subset.
+
+When every atom is a pair of loops, linking is plain adjacency and a
+minimum loop cut is a minimum vertex separator: `link_min_cut` solves it
+with one integer max-flow (`flow.Network`) on the node-split network,
+which for a converted hypergraph is Lawler's hypergraph-cut network.
+Other structures keep a pruned search over subsets of the cuttable
+loops, exponential in their number.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import EntropyVector, Subsystem, all_subsystems
+from .flow import Network, scale_of, scaled
 from .hypergraphs import Hypergraph
 
 
@@ -310,23 +318,9 @@ def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
     return _separates(model, inside, outside, _mask_of(model, cut))
 
 
-def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
-    """Minimum-weight valid loop cut for the subsystem, with deterministic tie-break.
-
-    Among equal-weight cuts the lexicographically smallest sorted list of
-    loop indices wins.  The interior collects every block that remains
-    linked to the subsystem's external loops after the cut is removed.
-    """
-    subsystem = frozenset(subsystem)
-    cached = model._cache.get(("mincut", subsystem))
-    if cached is not None:
-        return cached
-    inside, outside = _subsystem_externals(model, subsystem)
+def _search_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction, int]:
+    """Weight and mask of the tie-broken minimum cut by a pruned subset search."""
     everything = model._cache["candidates"]
-    if not _separates(model, inside, outside, everything):
-        raise UncuttableSubsystemError(
-            f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
-        )
     order = [i for i in range(len(model.loops)) if everything >> i & 1]
     weights = [model.weights[model.loops[i]] for i in order]
     # Cutting every candidate is valid, and the search below reaches it or
@@ -345,7 +339,115 @@ def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
             descend(j + 1, cut | 1 << i, idx_tuple + (i,), weight + weights[j])
 
     descend(0, 0, (), Fraction(0))
-    weight, _, cut_mask = best
+    return best[0], best[2]
+
+
+def _pair_network(model: LinkModel) -> tuple[int, int, list[int], list[tuple[int, int]]] | None:
+    """Scale, uncuttable capacity, split capacities and atoms of a pair-atom model.
+
+    None when the structure is a table or has an atom of three or more
+    loops.  Built on the first min-cut and cached, so constructing a model
+    costs nothing extra.
+    """
+    if "pair_network" not in model._cache:
+        atoms = model._cache.get("atoms")
+        network = None
+        if atoms is not None and all(atom.bit_count() == 2 for atom in atoms):
+            everything = model._cache["candidates"]
+            candidates = {i: model.weights[name] for i, name in enumerate(model.loops) if everything >> i & 1}
+            scale = scale_of(candidates.values())
+            big = sum(scaled(w, scale) for w in candidates.values()) + 1
+            caps = [scaled(candidates[i], scale) if i in candidates else big for i in range(len(model.loops))]
+            pairs = [((a & -a).bit_length() - 1, a.bit_length() - 1) for a in atoms]
+            network = (scale, big, caps, pairs)
+        model._cache["pair_network"] = network
+    return model._cache["pair_network"]
+
+
+def _flow_min_cut(model: LinkModel, inside: int, outside: int, pair_network) -> tuple[Fraction, int]:
+    """Weight and mask of the tie-broken minimum cut of a pair-atom model by max-flow.
+
+    Loop i splits into in(i) -> out(i) with its scaled weight (uncuttable
+    loops get `big`, more than every candidate together), each atom {u, v}
+    adds out(u) -> in(v) and out(v) -> in(u), the source feeds the inside
+    externals and the outside externals feed the sink.  A cut is then a
+    vertex separator and the max flow its minimum weight.
+    """
+    scale, big, caps, pairs = pair_network
+    n = len(model.loops)
+    source, sink = 2 * n, 2 * n + 1
+    network = Network(2 * n + 2)
+    split = [network.add(2 * i, 2 * i + 1, c) for i, c in enumerate(caps)]
+    for u, v in pairs:
+        network.add(2 * u + 1, 2 * v, big)
+        network.add(2 * v + 1, 2 * u, big)
+    for i in range(n):
+        if inside >> i & 1:
+            network.add(source, 2 * i, big)
+        elif outside >> i & 1:
+            network.add(2 * i + 1, sink, big)
+    total = network.max_flow(source, sink)
+    # Build the lexicographically smallest minimum cut in ascending index
+    # order.  Loop i lies in some minimum cut iff neither out(i) nor the
+    # sink is reachable in the residual network from the source or from
+    # in(i): the residual closure of {source, in(i)} is then a minimum cut
+    # severing i.  A loop left out lies in no minimum cut, so leaving it
+    # out changes nothing.  Taking i adds source -> in(i) and
+    # out(i) -> sink, which keeps exactly the minimum cuts that sever i
+    # without changing the minimum, so the flow stays maximum and one
+    # max-flow serves every decision.
+    chosen = 0
+    everything = model._cache["candidates"]
+    for i in range(n):
+        if not everything >> i & 1 or network.cap[split[i]]:
+            continue  # a residual split arc leads from in(i) straight to out(i)
+        closure = network.reachable(source, 2 * i)
+        if closure[2 * i + 1] or closure[sink]:
+            continue
+        chosen |= 1 << i
+        network.add(source, 2 * i, big)
+        network.add(2 * i + 1, sink, big)
+        if _separates(model, inside, outside, chosen):
+            break
+    else:
+        raise RuntimeError("the flow tie-break ran out of loops before separating")
+    if sum(caps[i] for i in range(n) if chosen >> i & 1) != total:
+        raise RuntimeError("the flow tie-break built a cut whose weight differs from the max flow")
+    return Fraction(total, scale), chosen
+
+
+def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
+    """Minimum-weight valid loop cut for the subsystem, with deterministic tie-break.
+
+    Among equal-weight cuts the lexicographically smallest sorted list of
+    loop indices wins.  The interior collects every block that remains
+    linked to the subsystem's external loops after the cut is removed.
+
+    When every atom is a pair of loops, a minimum cut is a minimum vertex
+    separator, found by one max-flow on the node-split network; the
+    tie-break then walks the candidate loops in ascending index order,
+    stops once the loops chosen so far separate, and takes each loop that
+    some minimum cut agreeing with the earlier choices contains, which is
+    read off the residual network.  Larger atoms and connectivity tables
+    keep a pruned search over candidate subsets.
+    """
+    subsystem = frozenset(subsystem)
+    cached = model._cache.get(("mincut", subsystem))
+    if cached is not None:
+        return cached
+    inside, outside = _subsystem_externals(model, subsystem)
+    pair_network = _pair_network(model)
+    # the subset search tries the empty cut first; the flow is spared it here
+    if pair_network is not None and _separates(model, inside, outside, 0):
+        weight, cut_mask = Fraction(0), 0
+    elif not _separates(model, inside, outside, model._cache["candidates"]):
+        raise UncuttableSubsystemError(
+            f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
+        )
+    elif pair_network is None:
+        weight, cut_mask = _search_min_cut(model, inside, outside)
+    else:
+        weight, cut_mask = _flow_min_cut(model, inside, outside, pair_network)
     cut = _names_of(model, cut_mask)
     interior, exterior = _cut_sides(model, subsystem, cut)
     result = LoopCutResult(

@@ -63,43 +63,82 @@ def _format_external(mapping: dict[int, str]) -> dict[str, str]:
     return {party_letter(i): name for i, name in sorted(mapping.items())}
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelFileError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ModelFileError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    """A JSON list of names; a string is not read as its characters."""
+    names = tuple(_list(value, what))
+    for name in names:
+        if not isinstance(name, str):
+            raise ModelFileError(f"{what} must hold names (strings), got {name!r}")
+    return names
+
+
+def _edge(value) -> tuple[str, str, Fraction]:
+    edge = _list(value, "an edge")
+    if len(edge) != 3:
+        raise ModelFileError(f"an edge must be [u, v, weight], got {value!r}")
+    u, v = _names(edge[:2], "edge endpoints")
+    return u, v, parse_rational(edge[2])
+
+
 def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
+    """Build a model from its JSON object, rejecting anything off the schema.
+
+    Vertex, loop, edge, member, atom and block lists must be JSON lists
+    and every name a string; anything else is a `ModelFileError`.
+    """
     if not isinstance(obj, dict):
         raise ModelFileError("model file must contain a JSON object")
     kind = obj.get("kind")
     try:
         if kind == "graph":
             return WeightedGraph(
-                vertices=tuple(obj["vertices"]),
+                vertices=_names(obj["vertices"], "vertices"),
                 external=_parse_external(obj["external"]),
-                edges=tuple((u, v, parse_rational(w)) for u, v, w in obj["edges"]),
+                edges=tuple(_edge(e) for e in _list(obj["edges"], "edges")),
             )
         if kind == "hypergraph":
             return Hypergraph(
-                vertices=tuple(obj["vertices"]),
+                vertices=_names(obj["vertices"], "vertices"),
                 external=_parse_external(obj["external"]),
                 hyperedges=tuple(
-                    (frozenset(e["members"]), parse_rational(e["weight"]))
-                    for e in obj["hyperedges"]
+                    (
+                        frozenset(_names(_object(e, "a hyperedge")["members"], "hyperedge members")),
+                        parse_rational(e["weight"]),
+                    )
+                    for e in _list(obj["hyperedges"], "hyperedges")
                 ),
             )
         if kind == "link":
             weights = {}
-            for name, w in obj["weights"].items():
+            for name, w in _object(obj["weights"], "weights").items():
                 weights[name] = INFINITE if w == "inf" else parse_rational(w)
-            structure_obj = obj["structure"]
+            structure_obj = _object(obj["structure"], "link structure")
             if "atoms" in structure_obj:
-                structure = AtomicLinkages(tuple(frozenset(a) for a in structure_obj["atoms"]))
+                structure = AtomicLinkages(
+                    tuple(frozenset(_names(a, "an atom")) for a in _list(structure_obj["atoms"], "atoms"))
+                )
             elif "table" in structure_obj:
                 table = {}
-                for key, blocks in structure_obj["table"].items():
+                for key, blocks in _object(structure_obj["table"], "connectivity table").items():
                     subset = frozenset(x for x in key.split(",") if x)
-                    table[subset] = tuple(frozenset(b) for b in blocks)
+                    table[subset] = tuple(frozenset(_names(b, "a block")) for b in _list(blocks, "table blocks"))
                 structure = ConnectivityTable(table)
             else:
                 raise ModelFileError("link structure needs either 'atoms' or 'table'")
             return LinkModel(
-                loops=tuple(obj["loops"]),
+                loops=_names(obj["loops"], "loops"),
                 weights=weights,
                 external=_parse_external(obj["external"]),
                 structure=structure,

@@ -10,7 +10,9 @@ Contraction maps are checked and searched with `Fraction` sums over bit
 tuples instead of the library's integer-scaled weight tables over
 bitmasks.  The link-model generator and the certificate check are kept
 as the library had them before their speed-ups, as references that
-generated models and check reports must match.
+generated models and check reports must match, and so is the link
+min-cut's subset search, which the pair-atom max-flow must match cut for
+cut.
 """
 
 from __future__ import annotations
@@ -42,7 +44,17 @@ from linkcone.core import (
 )
 from linkcone.graphs import WeightedGraph
 from linkcone.hypergraphs import Hypergraph
-from linkcone.links import AtomicLinkages, LinkModel, link_entropy
+from linkcone.links import (
+    AtomicLinkages,
+    LinkModel,
+    LoopCutResult,
+    UncuttableSubsystemError,
+    _cut_sides,
+    _names_of,
+    _separates,
+    _subsystem_externals,
+    link_entropy,
+)
 
 
 def bipartition_graph_mincut(graph: WeightedGraph, subsystem: Subsystem) -> Fraction:
@@ -532,3 +544,51 @@ def reference_check_cut_contraction_certificate(
             diagnostics=diagnostics,
         )
     return CertificateCheck(ok=True, diagnostics=diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# link min-cut as the library computed it before the pair-atom max-flow
+
+
+def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
+    """`link_min_cut` by the pruned subset search, for every structure.
+
+    The search is the library's, unchanged; only the per-model result
+    cache is left out, so the reference never answers from (or fills)
+    the cache the library reads.
+    """
+    subsystem = frozenset(subsystem)
+    inside, outside = _subsystem_externals(model, subsystem)
+    everything = model._cache["candidates"]
+    if not _separates(model, inside, outside, everything):
+        raise UncuttableSubsystemError(
+            f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
+        )
+    order = [i for i in range(len(model.loops)) if everything >> i & 1]
+    weights = [model.weights[model.loops[i]] for i in order]
+    # Cutting every candidate is valid, and the search below reaches it or
+    # a cut that beats it, so it is a safe starting point.
+    best = (sum(weights, Fraction(0)), tuple(order), everything)
+
+    def descend(pos: int, cut: int, idx_tuple: tuple[int, ...], weight: Fraction) -> None:
+        nonlocal best
+        if weight > best[0]:
+            return
+        if _separates(model, inside, outside, cut):
+            best = min(best, (weight, idx_tuple, cut))
+            return
+        for j in range(pos, len(order)):
+            i = order[j]
+            descend(j + 1, cut | 1 << i, idx_tuple + (i,), weight + weights[j])
+
+    descend(0, 0, (), Fraction(0))
+    weight, _, cut_mask = best
+    cut = _names_of(model, cut_mask)
+    interior, exterior = _cut_sides(model, subsystem, cut)
+    return LoopCutResult(
+        cut=cut,
+        weight=weight,
+        interior=interior,
+        exterior=exterior,
+        tie_break="minimum weight, then lexicographically smallest sorted loop-index list",
+    )

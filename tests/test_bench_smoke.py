@@ -1,8 +1,10 @@
-"""The benchmark's independent oracles, run on the link workloads at smoke size.
+"""The benchmark's independent oracles, run at smoke size.
 
 `bench/run.py` checks every operation against brute-force min-cuts, BFS
-connectivity and brute-force minimal bridges that import nothing from
-linkcone, so a short run is a second, independent check of the link kernel.
+connectivity, brute-force minimal bridges and bipartition graph and
+hypergraph cuts that import nothing from linkcone, so a short run is a
+second, independent check of the link kernel, the flow and the CLI
+commands that `models-cli` drives.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["link-mincut", "link-certify"])
+@pytest.mark.parametrize("workload", ["link-mincut", "link-certify", "models-cli"])
 def test_bench_oracles_pass(workload):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "1", "--size", "smoke"],

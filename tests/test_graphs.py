@@ -122,3 +122,16 @@ def test_uniform_scaling_linearity():
         assert graph_entropy_vector(scaled).entries == tuple(
             e * Fraction(3, 2) for e in base.entries
         )
+
+
+# mixed denominators: a flow scaled by anything but their common multiple,
+# or truncated, gets some of these wrong
+MIXED_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1), Fraction(7, 3))
+
+
+def test_mixed_denominators_match_bipartition_oracle():
+    for seed in range(60):
+        g = generate_graph(2 + seed % 3, vertices=4 + seed % 6, edges=3 + seed % 10, seed=seed,
+                           weight_choices=MIXED_WEIGHTS)
+        for sub in all_subsystems(g.n):
+            assert graph_entropy(g, sub) == bipartition_graph_mincut(g, sub), (seed, sub)

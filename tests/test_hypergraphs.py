@@ -110,3 +110,14 @@ def test_graph_as_hypergraph_star():
         tuple((frozenset({"m", leaf}), Fraction(1)) for leaf in ("a", "b", "c", "o")),
     )
     assert hypergraph_entropy_vector(star).entries == tuple(map(Fraction, (1, 1, 1, 2, 2, 2, 1)))
+
+
+def test_mixed_denominators_match_plain_enumeration():
+    # a flow scaled by anything but the common multiple of the denominators,
+    # or truncated, gets some of these wrong
+    weights = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1), Fraction(7, 3))
+    for seed in range(60):
+        h = generate_hypergraph(2 + seed % 3, vertices=4 + seed % 6, hyperedges=2 + seed % 8,
+                                max_arity=4, seed=seed, weight_choices=weights)
+        for sub in all_subsystems(h.n):
+            assert hypergraph_entropy(h, sub) == exhaustive_hypergraph_entropy(h, sub), (seed, sub)

@@ -1,11 +1,12 @@
 """Link model: connectivity, loop cuts, bridges, stratification, conversion."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from linkcone.core import all_subsystems, evaluate_inequality, parse_inequality
+from linkcone.core import all_subsystems, evaluate_inequality, parse_inequality, party_letter
 from linkcone.generate import (
     generate_bridge_regular_link_model,
     generate_hypergraph,
@@ -40,6 +41,8 @@ from oracles import (
     bruteforce_irreducible_family,
     bruteforce_link_mincut,
     bruteforce_minimal_bridges,
+    exhaustive_hypergraph_entropy,
+    reference_link_min_cut,
 )
 
 RAY15_ENTRIES = (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1) + (2,) * 10 + (2, 2, 1, 2, 2, 1)
@@ -286,6 +289,105 @@ class TestLoopCuts:
                 result = link_min_cut(m, sub)
                 assert result.weight == weight, (seed, sub)
                 assert result.cut == cut, (seed, sub)
+
+
+PAIR_WEIGHTS = (
+    Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), INFINITE
+)
+
+
+def pair_atom_model(seed: int, attach_all: bool = False) -> LinkModel:
+    """Seeded model whose atoms are all loop pairs, on 2-4 parties and up to 14 loops.
+
+    Internal weights mix zero, denominators 2, 3 and 7 and INFINITE; loops
+    are declared in shuffled order.  Each loop is tied to an earlier one
+    (always with `attach_all`, else most of the time), then random pairs
+    are added.  One model in ten may tie two externals together, which
+    makes some subsystems uncuttable.
+    """
+    rng = random.Random(seed)
+    parties = rng.randint(2, 4)
+    externals = [party_letter(i) for i in range(1, parties + 2)]
+    loops = rng.randint(parties + 2, 14)
+    names = externals + [f"u{i}" for i in range(loops - len(externals))]
+    rng.shuffle(names)
+    weights = {x: Fraction(1) if x in externals else rng.choice(PAIR_WEIGHTS) for x in names}
+    direct = rng.random() < 0.1
+    atoms = set()
+
+    def add(u, v):
+        if direct or u not in externals or v not in externals:
+            atoms.add(frozenset({u, v}))
+
+    for k in range(1, loops):
+        if attach_all or rng.random() < 0.8:
+            add(names[k], rng.choice(names[:k]))
+    for _ in range(rng.randint(0, loops)):
+        add(*rng.sample(names, 2))
+    return LinkModel(
+        loops=tuple(names),
+        weights=weights,
+        external={i + 1: x for i, x in enumerate(externals)},
+        structure=AtomicLinkages(tuple(sorted(atoms, key=sorted))),
+    )
+
+
+def _min_cut_or_error(solve, model, sub):
+    try:
+        return solve(model, sub)
+    except UncuttableSubsystemError as exc:
+        return str(exc)
+
+
+class TestPairAtomFlow:
+    """Pair-atom min-cuts run on max-flow; the subset search is the reference."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_subset_search(self, block):
+        outcomes = set()
+        for seed in range(block * 60, block * 60 + 60):
+            m = pair_atom_model(seed)
+            family = list(_irreducible_family(m))
+            for sub in all_subsystems(m.n):
+                expected = _min_cut_or_error(reference_link_min_cut, m, sub)
+                # equal results: cut, weight, interior, exterior and tie-break text
+                assert _min_cut_or_error(link_min_cut, m, sub) == expected, (seed, sub)
+                if isinstance(expected, str):
+                    outcomes.add("uncuttable")
+                    continue
+                outcomes.add(("zero" if expected.weight == 0 else "positive", min(len(expected.cut), 2)))
+                bridges = bruteforce_minimal_bridges(m, family, expected)
+                assert list(minimal_bridges(m, sub)) == bridges, (seed, sub)
+        # every kind of answer occurs: uncuttable, an empty cut, zero-weight
+        # and positive cuts of one and of several loops
+        assert outcomes >= {"uncuttable", ("zero", 0), ("zero", 2), ("positive", 1), ("positive", 2)}
+
+    def test_matches_bruteforce(self):
+        checked = 0
+        for seed in range(120):
+            m = pair_atom_model(seed, attach_all=True)
+            finite = [x for x in m.internal_loops if m.is_finite(x)]
+            if len(finite) > 10:
+                continue
+            checked += 1
+            for sub in all_subsystems(m.n):
+                inside = {m.external[i] for i in sub}
+                outside = m.external_loops - inside
+                remaining = frozenset(m.loops) - set(finite)
+                if any(b & inside and b & outside for b in _bfs_blocks(m, remaining)):
+                    with pytest.raises(UncuttableSubsystemError):
+                        link_min_cut(m, sub)
+                    continue
+                weight, cut = bruteforce_link_mincut(m, sub)
+                result = link_min_cut(m, sub)
+                assert (result.weight, result.cut) == (weight, cut), (seed, sub)
+        assert checked >= 100
+
+    def test_large_conversion_matches_plain_enumeration(self):
+        # 24 hyperedges give 24 candidate loops, far past what the subset search finishes
+        h = generate_hypergraph(3, vertices=8, hyperedges=24, max_arity=4, seed=24)
+        vector = link_entropy_vector(hypergraph_to_link(h))
+        assert vector.entries == tuple(exhaustive_hypergraph_entropy(h, sub) for sub in all_subsystems(3))
 
 
 class TestRay15Vector:

@@ -377,3 +377,86 @@ class TestCli:
     def test_generate_unsupported_kind(self, capsys):
         assert main(["generate", "--kind", "graph", "--parties", "2", "--loops", "5",
                      "--atoms", "2", "--max-arity", "2", "--seed", "0"]) == 4
+
+
+SCHEMA_MODELS = {
+    "graph": {
+        "kind": "graph",
+        "vertices": ["a", "v", "o"],
+        "external": {"A": "a", "B": "o"},
+        "edges": [["a", "v", 1], ["v", "o", "1/2"]],
+    },
+    "hypergraph": {
+        "kind": "hypergraph",
+        "vertices": ["a", "v", "o"],
+        "external": {"A": "a", "B": "o"},
+        "hyperedges": [{"members": ["a", "v", "o"], "weight": 1}],
+    },
+    "atoms": {
+        "kind": "link",
+        "loops": ["a", "e", "o"],
+        "weights": {"a": 1, "e": 2, "o": 1},
+        "external": {"A": "a", "B": "o"},
+        "structure": {"atoms": [["a", "e"], ["e", "o"]]},
+    },
+    "table": {
+        "kind": "link",
+        "loops": ["a", "o"],
+        "weights": {"a": 1, "o": 1},
+        "external": {"A": "a", "B": "o"},
+        "structure": {"table": {"": [], "a": [["a"]], "o": [["o"]], "a,o": [["a"], ["o"]]}},
+    },
+}
+
+# (model, path to the field): lists, objects and single names of every kind
+LIST_FIELDS = [
+    ("graph", ("vertices",)),
+    ("graph", ("edges",)),
+    ("graph", ("edges", 0)),
+    ("hypergraph", ("vertices",)),
+    ("hypergraph", ("hyperedges",)),
+    ("hypergraph", ("hyperedges", 0, "members")),
+    ("atoms", ("loops",)),
+    ("atoms", ("structure", "atoms")),
+    ("atoms", ("structure", "atoms", 0)),
+    ("table", ("structure", "table", "a,o")),
+    ("table", ("structure", "table", "a,o", 0)),
+]
+OBJECT_FIELDS = [
+    ("hypergraph", ("hyperedges", 0)),
+    ("atoms", ("weights",)),
+    ("atoms", ("structure",)),
+    ("table", ("structure", "table")),
+]
+NAME_FIELDS = [
+    ("graph", ("vertices", 1)),
+    ("graph", ("edges", 0, 0)),
+    ("hypergraph", ("hyperedges", 0, "members", 2)),
+    ("atoms", ("loops", 1)),
+    ("atoms", ("structure", "atoms", 0, 1)),
+    ("table", ("structure", "table", "a,o", 0, 0)),
+]
+# "joined" is a string of the list's own entries, which tuple() used to split back into them
+SCHEMA_CASES = (
+    [(kind, path, value) for kind, path in LIST_FIELDS for value in ("joined", 7, {"x": 1})]
+    + [(kind, path, value) for kind, path in OBJECT_FIELDS for value in ("av", 7, ["a"])]
+    + [(kind, path, value) for kind, path in NAME_FIELDS for value in (7, ["v"], {"x": 1})]
+)
+
+
+@pytest.mark.parametrize("kind, path, value", SCHEMA_CASES)
+def test_off_schema_field_is_parse_error(tmp_path, capsys, kind, path, value):
+    obj = json.loads(json.dumps(SCHEMA_MODELS[kind]))
+    assert main(["entropy", "--model", write(tmp_path, "ok.json", obj), "--subsystem", "A"]) == 0
+    capsys.readouterr()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == "joined":
+        value = "".join(x if isinstance(x, str) else "1" for x in parent[path[-1]])
+    parent[path[-1]] = value
+    code = main(["entropy", "--model", write(tmp_path, "bad.json", obj), "--subsystem", "A"])
+    captured = capsys.readouterr()
+    assert code == 2, captured
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
