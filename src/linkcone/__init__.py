@@ -37,6 +37,7 @@ from .core import (
     LinearInequality,
     all_subsystems,
     complement_subsystem,
+    entropy_vector,
     evaluate_inequality,
     mixed_indicator,
     occurrence_bitstrings,

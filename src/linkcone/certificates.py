@@ -25,7 +25,6 @@ from .links import (
     StratificationError,
     _cut_sides,
     is_valid_loop_cut,
-    link_entropy,
     link_min_cut,
     minimal_bridges,
 )
@@ -422,7 +421,7 @@ def check_cut_contraction_certificate(
     rhs_entropy_total = Fraction(0)
     for r, (subsystem, beta) in enumerate(ineq.rhs):
         cut_weight = sum((Fraction(model.weights[x]) for x in rhs_cuts[r]), Fraction(0))
-        entropy = link_entropy(model, subsystem)
+        entropy = model.entropy(subsystem)
         if cut_weight < entropy:
             raise RuntimeError("a valid cut can never undercut the min-cut")
         rhs_cut_total += beta * cut_weight
@@ -441,10 +440,14 @@ def check_cut_contraction_certificate(
     return CertificateCheck(ok=True, diagnostics=diagnostics)
 
 
-def check_inequality_direct(model: LinkModel, ineq: LinearInequality) -> tuple[bool, Fraction, Fraction]:
-    """Ground truth: evaluate both sides on the model's min-cut entropies."""
+def check_inequality_direct(model, ineq: LinearInequality) -> tuple[bool, Fraction, Fraction]:
+    """Ground truth: evaluate both sides on the model's min-cut entropies.
+
+    Any model with `n` and `entropy(subsystem)` (graph, hypergraph or
+    link) works; only the inequality's own terms are computed.
+    """
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
-    lhs_value = sum((coeff * link_entropy(model, sub) for sub, coeff in ineq.lhs), Fraction(0))
-    rhs_value = sum((coeff * link_entropy(model, sub) for sub, coeff in ineq.rhs), Fraction(0))
+    lhs_value = sum((coeff * model.entropy(sub) for sub, coeff in ineq.lhs), Fraction(0))
+    rhs_value = sum((coeff * model.entropy(sub) for sub, coeff in ineq.rhs), Fraction(0))
     return lhs_value >= rhs_value, lhs_value, rhs_value

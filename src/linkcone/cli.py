@@ -21,23 +21,10 @@ from .certificates import (
     check_inequality_direct,
 )
 from .contraction import BUDGET_EXCEEDED, FOUND, search_contraction_map
-from .core import (
-    InequalityParseError,
-    evaluate_inequality,
-    parse_inequality,
-    subsystem_from_letters,
-)
+from .core import InequalityParseError, entropy_vector, parse_inequality, subsystem_from_letters
 from .generate import generate_link_model
-from .graphs import WeightedGraph, graph_entropy, graph_entropy_vector
-from .hypergraphs import Hypergraph, hypergraph_entropy, hypergraph_entropy_vector
-from .links import (
-    LinkModel,
-    UncuttableSubsystemError,
-    hypergraph_to_link,
-    link_entropy,
-    link_entropy_vector,
-    ray15_link,
-)
+from .hypergraphs import Hypergraph
+from .links import LinkModel, UncuttableSubsystemError, hypergraph_to_link, ray15_link
 from .modelio import (
     ModelFileError,
     bit_map_to_json,
@@ -80,22 +67,6 @@ def _resolve_model(args):
     return load_model(args.model), file_digest(args.model)
 
 
-def _entropy_of(model, subsystem):
-    if isinstance(model, WeightedGraph):
-        return graph_entropy(model, subsystem)
-    if isinstance(model, Hypergraph):
-        return hypergraph_entropy(model, subsystem)
-    return link_entropy(model, subsystem)
-
-
-def _vector_of(model):
-    if isinstance(model, WeightedGraph):
-        return graph_entropy_vector(model)
-    if isinstance(model, Hypergraph):
-        return hypergraph_entropy_vector(model)
-    return link_entropy_vector(model)
-
-
 def _read_inequality(path: str, n: int):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -121,13 +92,13 @@ def _cmd_entropy(args) -> int:
     except InequalityParseError as exc:
         # the model file parsed fine; a bad subsystem is a semantic error
         raise ValueError(str(exc)) from exc
-    print(format_rational(_entropy_of(model, subsystem)))
+    print(format_rational(model.entropy(subsystem)))
     return EXIT_OK
 
 
 def _cmd_entropy_vector(args) -> int:
     model, digest = _resolve_model(args)
-    vector = _vector_of(model)
+    vector = entropy_vector(model)
     report = {
         "command": "entropy-vector",
         "digest": digest,
@@ -142,10 +113,7 @@ def _cmd_check_ineq(args) -> int:
     model, digest = _resolve_model(args)
     ineq, _text = _read_inequality(args.ineq, model.n)
     if args.method == "direct":
-        if isinstance(model, LinkModel):
-            holds, lhs, rhs = check_inequality_direct(model, ineq)
-        else:
-            holds, lhs, rhs = evaluate_inequality(ineq, _vector_of(model))
+        holds, lhs, rhs = check_inequality_direct(model, ineq)
         word = "holds" if holds else "violated"
         sign = ">=" if holds else "<"
         print(f"{word} {format_rational(lhs)} {sign} {format_rational(rhs)}")
@@ -230,8 +198,8 @@ def _cmd_convert(args) -> int:
     if not isinstance(model, Hypergraph):
         raise UncuttableSubsystemError("convert expects a hypergraph model file")
     link = hypergraph_to_link(model)
-    source_vector = hypergraph_entropy_vector(model)
-    link_vector = link_entropy_vector(link)
+    source_vector = entropy_vector(model)
+    link_vector = entropy_vector(link)
     _emit(model_to_json(link), args.out)
     report = {
         "command": "convert",

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import lcm
 from operator import and_, or_
 
-from .core import Bits, LinearInequality, occurrence_bitstrings
+from .core import Bits, LinearInequality, occurrence_bitstrings, scale_of, scaled
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -58,12 +57,13 @@ def _mask(bits: Bits) -> int:
 
 def _weight_tables(ineq: LinearInequality) -> tuple[list[int], list[int]]:
     """Integer-scaled coefficient sums over every LHS mask and every RHS mask."""
-    scale = lcm(*(c.denominator for c in ineq.lhs_coeffs + ineq.rhs_coeffs))
+    scale = scale_of(ineq.lhs_coeffs + ineq.rhs_coeffs)
 
     def table(coeffs) -> list[int]:
         weights = [0]
         for c in coeffs:
-            weights += [w + int(c * scale) for w in weights]
+            c = scaled(c, scale)
+            weights += [w + c for w in weights]
         return weights
 
     return table(ineq.lhs_coeffs), table(ineq.rhs_coeffs)

@@ -10,7 +10,11 @@ Conventions used throughout the package:
 * Entropy vectors carry all 2**n - 1 subsystem entropies, ordered by
   subsystem cardinality and lexicographically within each cardinality.
 * Every quantity is a fractions.Fraction; floats never take part in a
-  comparison.
+  comparison.  Solvers that need integers scale a set of weights by the
+  least common multiple of their denominators (`scale_of`, `scaled`).
+* Every model (graph, hypergraph, link) answers the same protocol: `n`,
+  the party count, and `entropy(subsystem)`, its min-cut entropy.
+  `entropy_vector` needs nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 Subsystem = frozenset[int]
 Bits = tuple[int, ...]
@@ -29,6 +34,35 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+(?:\s*/\s*\d+)?)\s+|(\d+(?:\s*/\s*\d+)?)\s*\*
 
 class InequalityParseError(ValueError):
     """Malformed inequality text, or a party letter outside the declared range."""
+
+
+def scale_of(weights) -> int:
+    """Least common multiple of the denominators of rational weights (1 for none)."""
+    return lcm(1, *(w.denominator for w in weights))
+
+
+def scaled(weight: Fraction, scale: int) -> int:
+    """The integer `weight * scale`; `scale` must be a multiple of its denominator."""
+    return weight.numerator * (scale // weight.denominator)
+
+
+def _check_external(external: dict[int, str], names: set[str], noun: str) -> None:
+    """Validate a model's external mapping: parties 1..n+1 with n >= 1, injective, known `noun`."""
+    parties = sorted(external)
+    if parties != list(range(1, len(parties) + 1)) or len(parties) < 2:
+        raise ValueError("external mapping must cover parties 1..n+1 with n >= 1")
+    if len(set(external.values())) != len(external):
+        raise ValueError("external mapping must be injective")
+    if not set(external.values()) <= names:
+        raise ValueError(f"external mapping references unknown {noun}")
+
+
+def _check_subsystem(subsystem, n: int) -> Subsystem:
+    """The subsystem as a frozenset, after checking it is a nonempty subset of [n]."""
+    subsystem = frozenset(subsystem)
+    if not subsystem or not subsystem <= set(range(1, n + 1)):
+        raise ValueError(f"subsystem must be a nonempty subset of [{n}]")
+    return subsystem
 
 
 def party_letter(index: int) -> str:
@@ -123,6 +157,11 @@ class EntropyVector:
 
     def labeled(self) -> list[tuple[str, Fraction]]:
         return [(subsystem_label(sub), val) for sub, val in zip(all_subsystems(self.n), self.entries)]
+
+
+def entropy_vector(model) -> EntropyVector:
+    """All subsystem entropies of any model with `n` and `entropy(subsystem)`."""
+    return EntropyVector(model.n, tuple(model.entropy(sub) for sub in all_subsystems(model.n)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Integer max-flow kernel shared by the graph, hypergraph and link min-cuts.
 
 Callers scale their rational weights by one common denominator
-(`scale_of`), so every capacity is a Python `int` and flows are exact.
+(`core.scale_of`), so every capacity is a Python `int` and flows are
+exact.  Graph and hypergraph cuts build their network in one place
+(`hypergraphs._cut_entropy`); pair-atom link cuts build the node-split
+network in `links`.
+
 Arcs come in pairs: arc `e` and its reverse `e ^ 1`, whose residual
 capacities always sum to the pair's total.  An undirected edge is one
 pair with the same capacity both ways.  Max flow is Edmonds-Karp
@@ -11,19 +15,6 @@ arcs and keep going.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
-
-
-def scale_of(weights) -> int:
-    """Least common multiple of the weights' denominators (1 for none)."""
-    return lcm(1, *(Fraction(w).denominator for w in weights))
-
-
-def scaled(weight: Fraction, scale: int) -> int:
-    """The integer `weight * scale`; `scale` must be a multiple of its denominator."""
-    return weight.numerator * (scale // weight.denominator)
 
 
 class Network:

@@ -1,12 +1,15 @@
-"""Rank-k hypergraph min-cut entropy model.
+"""Rank-k hypergraph min-cut entropy model, and the cut network graphs share.
 
 A hyperedge contributes its weight to a cut exactly when the chosen
 vertex set splits its members.  Each entropy is one integer max-flow
-(`flow.Network`) on Lawler's hypergraph-cut network (E. L. Lawler,
-*Cutsets and partitions of hypergraphs*, Networks 3, 1973): a hyperedge
-becomes an arc of its weight from an entry node to an exit node, every
-member feeds the entry and is fed by the exit through uncuttable arcs,
-so a finite cut severs exactly the hyperedges a vertex set splits.
+(`flow.Network`) on a cut network built by `_cut_entropy`.  A hyperedge
+of two members is an undirected arc pair of its weight, which makes a
+weighted graph the rank-2 case: `graphs` feeds its edges to the same
+builder.  A hyperedge of three or more members gets Lawler's gadget
+(E. L. Lawler, *Cutsets and partitions of hypergraphs*, Networks 3,
+1973): an arc of its weight from an entry node to an exit node, with
+every member feeding the entry and fed by the exit through uncuttable
+arcs, so a finite cut severs exactly the hyperedges a vertex set splits.
 Weights are scaled by the least common multiple of their denominators
 and the flow divided back, so the result is the exact rational.  Models
 are immutable by convention and queries have no shared state, so
@@ -18,8 +21,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EntropyVector, Subsystem, all_subsystems
-from .flow import Network, scale_of, scaled
+from .core import Subsystem, _check_external, _check_subsystem, entropy_vector, scale_of, scaled
+from .flow import Network
+
+
+def _cut_entropy(vertices, external: dict[int, str], edges, subsystem: Subsystem) -> Fraction:
+    """Minimum weight of `edges` split by a vertex set holding exactly the subsystem's externals.
+
+    `edges` is a sequence of (members, weight) pairs with at least two
+    members each.  The subsystem's externals merge into the source and
+    the other externals into the sink.  A two-member edge is one
+    undirected arc pair, skipped when both ends merge into the same node;
+    a larger edge is Lawler's gadget.
+    """
+    subsystem = _check_subsystem(subsystem, len(external) - 1)
+    node = {v: i for i, v in enumerate(vertices)}
+    source, sink = len(node), len(node) + 1
+    for party, v in external.items():
+        node[v] = source if party in subsystem else sink
+    scale = scale_of(w for _, w in edges)
+    caps = [scaled(w, scale) for _, w in edges]
+    big = sum(caps) + 1
+    network = Network(sink + 1 + 2 * sum(len(members) > 2 for members, _ in edges))
+    gadget = sink + 1
+    for (members, _), c in zip(edges, caps):
+        if len(members) == 2:
+            u, v = members
+            if node[u] != node[v]:
+                network.add(node[u], node[v], c, c)
+            continue
+        network.add(gadget, gadget + 1, c)
+        for v in members:
+            network.add(node[v], gadget, big)
+            network.add(gadget + 1, node[v], big)
+        gadget += 2
+    return Fraction(network.max_flow(source, sink), scale)
 
 
 @dataclass
@@ -40,13 +76,7 @@ class Hypergraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         vertex_set = set(self.vertices)
-        parties = sorted(self.external)
-        if parties != list(range(1, len(parties) + 1)) or len(parties) < 2:
-            raise ValueError("external mapping must cover parties 1..n+1 with n >= 1")
-        if len(set(self.external.values())) != len(self.external):
-            raise ValueError("external mapping must be injective")
-        if not set(self.external.values()) <= vertex_set:
-            raise ValueError("external mapping references unknown vertices")
+        _check_external(self.external, vertex_set, "vertices")
         edges = []
         for members, w in self.hyperedges:
             members = frozenset(members)
@@ -68,6 +98,11 @@ class Hypergraph:
     def rank(self) -> int:
         return max((len(members) for members, _ in self.hyperedges), default=0)
 
+    # `hypergraph`, not `self`: this method is also the public `hypergraph_entropy`
+    def entropy(hypergraph: Hypergraph, subsystem: Subsystem) -> Fraction:
+        """Minimum cut weight over vertex sets containing exactly the subsystem's externals."""
+        return _cut_entropy(hypergraph.vertices, hypergraph.external, hypergraph.hyperedges, subsystem)
+
 
 def hypergraph_cut_weight(hypergraph: Hypergraph, inside: set[str] | frozenset[str]) -> Fraction:
     """Total weight of hyperedges split by the vertex set `inside`."""
@@ -79,34 +114,5 @@ def hypergraph_cut_weight(hypergraph: Hypergraph, inside: set[str] | frozenset[s
     return total
 
 
-def hypergraph_entropy(hypergraph: Hypergraph, subsystem: Subsystem) -> Fraction:
-    """Minimum cut weight over vertex sets containing exactly the subsystem's externals."""
-    subsystem = frozenset(subsystem)
-    if not subsystem or not subsystem <= set(range(1, hypergraph.n + 1)):
-        raise ValueError(f"subsystem must be a nonempty subset of [{hypergraph.n}]")
-    # Lawler's network: hyperedge k is an arc in(k) -> out(k) of its weight,
-    # and every member v has uncuttable arcs v -> in(k) and out(k) -> v
-    node = {v: i for i, v in enumerate(hypergraph.vertices)}
-    base = len(node)
-    sink = base + 2 * len(hypergraph.hyperedges) + 1
-    source = sink - 1
-    for party, v in hypergraph.external.items():
-        node[v] = source if party in subsystem else sink
-    scale = scale_of(w for _, w in hypergraph.hyperedges)
-    caps = [scaled(w, scale) for _, w in hypergraph.hyperedges]
-    big = sum(caps) + 1
-    network = Network(sink + 1)
-    for k, ((members, _), c) in enumerate(zip(hypergraph.hyperedges, caps)):
-        e_in, e_out = base + 2 * k, base + 2 * k + 1
-        network.add(e_in, e_out, c)
-        for v in members:
-            network.add(node[v], e_in, big)
-            network.add(e_out, node[v], big)
-    return Fraction(network.max_flow(source, sink), scale)
-
-
-def hypergraph_entropy_vector(hypergraph: Hypergraph) -> EntropyVector:
-    return EntropyVector(
-        hypergraph.n,
-        tuple(hypergraph_entropy(hypergraph, sub) for sub in all_subsystems(hypergraph.n)),
-    )
+hypergraph_entropy = Hypergraph.entropy
+hypergraph_entropy_vector = entropy_vector

@@ -121,7 +121,12 @@ def bruteforce_link_mincut(model: LinkModel, subsystem: Subsystem):
     """Minimum-weight valid loop cut by enumerating every internal finite subset.
 
     Returns (weight, cut) with ties broken by the sorted loop-index list,
-    matching the library's declared tie-break but computed independently.
+    computed independently of the library.  The candidates differ on atom
+    structures: this enumerates every finite internal loop, while the
+    library draws cuts from the finite internal loops that lie in some
+    atom.  A zero-weight loop in no atom can therefore join this oracle's
+    cut (it sorts first at no cost) but never the library's; the weights
+    always agree.
     """
     inside = frozenset(model.external[i] for i in subsystem)
     outside = frozenset(v for i, v in model.external.items() if i not in subsystem)

@@ -280,6 +280,20 @@ class TestLoopCuts:
         )
         assert link_entropy_vector(m).entries == (Fraction(0),) * 3
 
+    def test_zero_weight_loop_in_no_atom_never_joins_a_cut(self):
+        # cuts are drawn from loops in some atom, so u0 stays out although
+        # {u0, u1} is valid at the same weight and sorts first by index
+        m = LinkModel(
+            loops=("A", "u0", "u1", "B"),
+            weights={"A": Fraction(1), "u0": Fraction(0), "u1": Fraction(1), "B": Fraction(1)},
+            external={1: "A", 2: "B"},
+            structure=AtomicLinkages((frozenset({"A", "u1"}), frozenset({"u1", "B"}))),
+        )
+        result = link_min_cut(m, frozenset({1}))
+        assert (result.cut, result.weight) == (frozenset({"u1"}), 1)
+        weight, cut = bruteforce_link_mincut(m, frozenset({1}))
+        assert (cut, weight) == (frozenset({"u0", "u1"}), result.weight)
+
     def test_matches_bruteforce_oracle(self):
         for seed in range(60):
             m = generate_link_model(2 + seed % 2, loops=6 + seed % 4, atoms=2 + seed % 6,
@@ -432,6 +446,12 @@ class TestIrreducibleAndBridges:
         # a superset of a bridge is never minimal
         assert not bridge_oracle(m, bcd, {"B", "u1", "w2", "A"})
         assert not bridge_oracle(m, bcd, {"B", "u1", "w2", "u2"})
+
+    def test_bridge_oracle_rejects_unknown_loops(self):
+        bcd = frozenset({2, 3, 4})
+        for candidate in ({"B", "u1", "nope"}, {"nope"}):
+            with pytest.raises(ValueError):
+                bridge_oracle(ray15_link(), bcd, candidate)
 
     def test_bridge_oracle_agrees_with_family(self):
         for seed in range(25):

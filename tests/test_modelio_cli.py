@@ -2,9 +2,13 @@
 
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkcone.cli import main
 from linkcone.generate import generate_hypergraph, generate_link_model
@@ -460,3 +464,119 @@ def test_off_schema_field_is_parse_error(tmp_path, capsys, kind, path, value):
     assert code == 2, captured
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+# Exit-code fuzz: valid files of every kind, one field replaced by a random JSON value.
+FUZZ_FILES = {
+    "graph": {
+        "kind": "graph",
+        "vertices": ["a", "b", "v", "o", "w"],
+        "external": {"A": "a", "B": "b", "C": "o"},
+        "edges": [["a", "v", 1], ["b", "v", "1/2"], ["v", "o", 2]],
+    },
+    "hypergraph": {
+        "kind": "hypergraph",
+        "vertices": ["a", "b", "v", "o", "w"],
+        "external": {"A": "a", "B": "b", "C": "o"},
+        "hyperedges": [{"members": ["a", "b", "v"], "weight": "3/2"}, {"members": ["v", "o"], "weight": 1}],
+    },
+    "atoms": {
+        "kind": "link",
+        "loops": ["a", "b", "e", "f", "o"],
+        "weights": {"a": 1, "b": 1, "e": 2, "f": "1/2", "o": 1},
+        "external": {"A": "a", "B": "b", "C": "o"},
+        "structure": {"atoms": [["a", "e"], ["b", "e", "f"], ["e", "o"]]},
+    },
+    "table": {
+        "kind": "link",
+        "loops": ["a", "b", "o"],
+        "weights": {"a": 1, "b": 1, "o": "inf"},
+        "external": {"A": "a", "B": "b", "C": "o"},
+        "structure": {"table": {
+            "": [], "a": [["a"]], "b": [["b"]], "o": [["o"]], "a,b": [["a"], ["b"]],
+            "a,o": [["a"], ["o"]], "b,o": [["b"], ["o"]], "a,b,o": [["a"], ["b"], ["o"]],
+        }},
+    },
+    # the union-cut certificate of SA on the "atoms" model
+    "map": {"-1,-1": "-1", "-1,0": "0", "-1,1": "1", "0,-1": "0", "1,-1": "1"},
+}
+FUZZ_SA = "S(A) + S(B) >= S(AB)"
+
+
+def _fields(value, prefix=()):
+    """Every (path, value) below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _fields(child, prefix + (key,))
+
+
+def _is_weight(path) -> bool:
+    return path[0] == "weights" or path[-1] == "weight" or (path[0] == "edges" and len(path) == 3 and path[2] == 2)
+
+
+FUZZ_FIELDS = [(name, path, old) for name, obj in FUZZ_FILES.items() for path, old in _fields(obj)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.text(max_size=5)
+    | st.sampled_from(["a", "b", "e", "o", "1/2", "inf", "-1,0"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FUZZ_FILES.items():
+        write(directory, f"{name}.json", obj)
+    write(directory, "sa.txt", FUZZ_SA)
+    return directory
+
+
+def _quiet_main(argv) -> int:
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        return main(argv)
+
+
+def _fuzz_commands(directory, model, cmap):
+    ineq = str(directory / "sa.txt")
+    return [
+        ["entropy", "--model", model, "--subsystem", "A"],
+        ["entropy-vector", "--model", model],
+        ["check-ineq", "--model", model, "--ineq", ineq],
+        ["check-ineq", "--model", model, "--ineq", ineq, "--method", "certificate", "--map", cmap],
+    ]
+
+
+def test_fuzz_files_are_valid(fuzz_dir):
+    cmap = str(fuzz_dir / "map.json")
+    for name in ("graph", "hypergraph", "atoms", "table"):
+        codes = [_quiet_main(argv) for argv in _fuzz_commands(fuzz_dir, str(fuzz_dir / f"{name}.json"), cmap)]
+        # certificates apply to link models only
+        assert codes == [0, 0, 0, 0 if name in ("atoms", "table") else 3], name
+
+
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_bad_field_never_escapes_the_exit_codes(fuzz_dir, data):
+    # every example replaces each field in turn, one at a time
+    for name, path, old in FUZZ_FIELDS:
+        value = data.draw(JSON_VALUES, label=f"{name} {path}")
+        obj = json.loads(json.dumps(FUZZ_FILES[name]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        mutated = write(fuzz_dir, f"bad-{name}.json", obj)
+        if name == "map":
+            commands = _fuzz_commands(fuzz_dir, str(fuzz_dir / "atoms.json"), mutated)[-1:]
+        else:
+            commands = _fuzz_commands(fuzz_dir, mutated, str(fuzz_dir / "map.json"))
+        must_fail = (isinstance(old, list) and not isinstance(value, list)) or (
+            isinstance(old, str) and not _is_weight(path) and not isinstance(value, str)
+        )
+        for argv in commands:
+            code = _quiet_main(argv)
+            assert code in (0, 1, 2, 3), (argv[0], name, path, value, code)
+            if must_fail:
+                assert code == 2, (argv[0], name, path, value, code)

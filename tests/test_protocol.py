@@ -1,0 +1,100 @@
+"""One model protocol: `n`, `entropy(subsystem)` and `entropy_vector(model)` for every kind."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from linkcone.certificates import check_inequality_direct
+from linkcone.core import all_subsystems, entropy_vector, evaluate_inequality, parse_inequality
+from linkcone.generate import generate_graph, generate_hypergraph, generate_link_model
+from linkcone.graphs import WeightedGraph, graph_entropy, graph_entropy_vector
+from linkcone.hypergraphs import Hypergraph, hypergraph_entropy, hypergraph_entropy_vector
+from linkcone.links import LinkModel, hypergraph_to_link, link_entropy, link_entropy_vector, ray15_link
+
+from oracles import bipartition_graph_mincut, exhaustive_hypergraph_entropy
+
+FRACTIONAL = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1))
+INEQUALITIES = {
+    "SA": "S(A) + S(B) >= S(AB)",
+    "SSA": "S(AB) + S(BC) >= S(B) + S(ABC)",
+    "MMI": "S(AB) + S(BC) + S(AC) >= S(A) + S(B) + S(C) + S(ABC)",
+    "weighted": "2 S(AB) + 1/2 S(C) >= 3 S(ABC) + 2/3 S(B)",
+}
+
+
+def seeded_graph(seed: int) -> WeightedGraph:
+    """Graph with fractional weights, a parallel edge and an edge between two externals."""
+    g = generate_graph(3, vertices=5 + seed % 4, edges=3 + seed % 7, seed=seed, weight_choices=FRACTIONAL)
+    rng = random.Random(seed)
+    a, b = rng.sample(sorted(g.external.values()), 2)
+    u, v, _ = g.edges[0]
+    extra = ((a, b, rng.choice(FRACTIONAL)), (v, u, rng.choice(FRACTIONAL)))
+    return WeightedGraph(g.vertices, g.external, g.edges + extra)
+
+
+def as_hypergraph(graph: WeightedGraph) -> Hypergraph:
+    return Hypergraph(graph.vertices, graph.external, tuple((frozenset((u, v)), w) for u, v, w in graph.edges))
+
+
+def seeded_hypergraph(seed: int) -> Hypergraph:
+    """Hypergraph whose hyperedges mix rank 2 with ranks 3 and 4."""
+    return generate_hypergraph(3, vertices=5 + seed % 4, hyperedges=4 + seed % 6, max_arity=4, seed=seed,
+                               weight_choices=FRACTIONAL)
+
+
+def test_public_functions_are_the_protocol():
+    assert graph_entropy is WeightedGraph.entropy
+    assert hypergraph_entropy is Hypergraph.entropy
+    assert link_entropy is LinkModel.entropy
+    assert graph_entropy_vector is hypergraph_entropy_vector is link_entropy_vector is entropy_vector
+
+
+def test_graph_is_the_rank_2_hypergraph():
+    for seed in range(40):
+        g = seeded_graph(seed)
+        vector = graph_entropy_vector(g)
+        assert vector == hypergraph_entropy_vector(as_hypergraph(g)), seed
+        assert vector.entries == tuple(bipartition_graph_mincut(g, sub) for sub in all_subsystems(3)), seed
+
+
+def test_graph_cases_cover_fractions_parallel_and_external_edges():
+    graphs = [seeded_graph(seed) for seed in range(40)]
+    externals = [set(g.external.values()) for g in graphs]
+    assert all({u, v} <= ext for g, ext in zip(graphs, externals) for u, v, _ in g.edges[-2:-1])
+    assert all(len({frozenset((u, v)) for u, v, _ in g.edges}) < len(g.edges) for g in graphs)
+    assert {w.denominator for g in graphs for _, _, w in g.edges} == {1, 2, 3, 7}
+
+
+def test_mixed_rank_hypergraph_matches_enumeration():
+    for seed in range(40):
+        h = seeded_hypergraph(seed)
+        expected = tuple(exhaustive_hypergraph_entropy(h, sub) for sub in all_subsystems(3))
+        assert hypergraph_entropy_vector(h).entries == expected, seed
+
+
+def test_hypergraph_cases_mix_ranks():
+    ranks = {len(members) for seed in range(40) for members, _ in seeded_hypergraph(seed).hyperedges}
+    assert ranks == {2, 3, 4}
+
+
+@pytest.mark.parametrize("name", sorted(INEQUALITIES))
+def test_direct_check_equals_vector_evaluation(name):
+    ineq = parse_inequality(INEQUALITIES[name], 3)
+    for seed in range(20):
+        for model in (seeded_graph(seed), seeded_hypergraph(seed)):
+            assert check_inequality_direct(model, ineq) == evaluate_inequality(ineq, entropy_vector(model))
+
+
+def test_method_equals_public_function_for_every_kind():
+    cases = [
+        (seeded_graph(3), graph_entropy),
+        (seeded_hypergraph(3), hypergraph_entropy),
+        (hypergraph_to_link(seeded_hypergraph(3)), link_entropy),
+        (generate_link_model(3, loops=9, atoms=6, max_arity=4, seed=7), link_entropy),
+        (ray15_link(), link_entropy),
+    ]
+    for model, public in cases:
+        for sub in all_subsystems(model.n):
+            assert model.entropy(sub) == public(model, sub), (type(model).__name__, sub)
+        assert entropy_vector(model).entries == tuple(model.entropy(sub) for sub in all_subsystems(model.n))
