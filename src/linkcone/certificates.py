@@ -236,12 +236,16 @@ class TritContractionMap:
 def _rhs_cut_split(
     model: LinkModel,
     subsystem: Subsystem,
-    zero_cells: list[Trits],
+    zero_cells: set[Trits],
     partition: TritPartition,
     term_name: str,
 ):
-    """Cut, interior and exterior induced for one RHS term by its zero cells."""
-    cut_loops = frozenset().union(*(partition.cells[c] for c in zero_cells)) if zero_cells else frozenset()
+    """Cut induced for one RHS term by its zero cells, and the sign of every other cell.
+
+    In `partition.cells` order: +1 inside the induced interior, -1 in the
+    exterior, None for a cell that straddles both.
+    """
+    cut_loops = frozenset().union(*(partition.cells[c] for c in zero_cells))
     try:
         valid = is_valid_loop_cut(model, subsystem, cut_loops)
     except ValueError as exc:
@@ -254,7 +258,11 @@ def _rhs_cut_split(
         raise InconsistentAssignment(
             f"interior externals for {term_name} differ from the term's parties"
         )
-    return cut_loops, interior, exterior
+    return cut_loops, {
+        cell: 1 if members <= interior else -1 if members <= exterior else None
+        for cell, members in partition.cells.items()
+        if cell not in zero_cells
+    }
 
 
 def derive_rhs_assignment(
@@ -281,19 +289,14 @@ def derive_rhs_assignment(
     images: dict[Trits, list[int]] = {cell: [0] * len(ineq.rhs) for cell in partition.cells}
     for r, subsystem in enumerate(ineq.rhs_subsystems):
         term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
-        zero_cells = [cell for cell in partition.cells if r in zeros.get(cell, frozenset())]
-        _, interior, exterior = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
-        for cell, members in partition.cells.items():
-            if cell in zero_cells:
-                images[cell][r] = 0
-            elif members <= interior:
-                images[cell][r] = 1
-            elif members <= exterior:
-                images[cell][r] = -1
-            else:
+        zero_cells = {cell for cell in partition.cells if r in zeros.get(cell, frozenset())}
+        _, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
+        for cell, sign in signs.items():
+            if sign is None:
                 raise InconsistentAssignment(
                     f"cell {cell} straddles the interior and exterior of {term_name}"
                 )
+            images[cell][r] = sign
     return TritContractionMap(
         images={cell: tuple(img) for cell, img in images.items()},
         length=partition.length,
@@ -358,22 +361,14 @@ def check_cut_contraction_certificate(
     rhs_cuts: list[frozenset[str]] = []
     for r, subsystem in enumerate(ineq.rhs_subsystems):
         term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
-        zero_cells = [cell for cell in partition.cells if cmap.images[cell][r] == 0]
+        zero_cells = {cell for cell in partition.cells if cmap.images[cell][r] == 0}
         try:
-            cut_loops, interior, exterior = _rhs_cut_split(
-                model, subsystem, zero_cells, partition, term_name
-            )
+            cut_loops, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
         except InconsistentAssignment as exc:
             return CertificateCheck(ok=False, reason=str(exc))
-        for cell, members in partition.cells.items():
+        for cell, expected in signs.items():
             value = cmap.images[cell][r]
-            if value == 0:
-                continue
-            if members <= interior:
-                expected = 1
-            elif members <= exterior:
-                expected = -1
-            else:
+            if expected is None:
                 return CertificateCheck(
                     ok=False,
                     reason=f"cell {cell} straddles the interior and exterior of {term_name}",

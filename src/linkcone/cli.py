@@ -33,6 +33,7 @@ from .modelio import (
     format_rational,
     load_model,
     model_to_json,
+    read_text,
     text_digest,
     trit_map_from_json,
 )
@@ -65,15 +66,6 @@ def _resolve_model(args):
     if not getattr(args, "model", None):
         raise _UsageError("one of --model or --builtin is required")
     return load_model(args.model), file_digest(args.model)
-
-
-def _read_inequality(path: str, n: int):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {path}: {exc}") from exc
-    return parse_inequality(text, n), text
 
 
 def _emit(text_or_obj, out_path, stream=None):
@@ -111,7 +103,7 @@ def _cmd_entropy_vector(args) -> int:
 
 def _cmd_check_ineq(args) -> int:
     model, digest = _resolve_model(args)
-    ineq, _text = _read_inequality(args.ineq, model.n)
+    ineq = parse_inequality(read_text(args.ineq).strip(), model.n)
     if args.method == "direct":
         holds, lhs, rhs = check_inequality_direct(model, ineq)
         word = "holds" if holds else "violated"
@@ -123,11 +115,7 @@ def _cmd_check_ineq(args) -> int:
         raise _UsageError("--method certificate requires --map")
     if not isinstance(model, LinkModel):
         raise UncuttableSubsystemError("certificate checking applies to link models")
-    try:
-        with open(args.map, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {args.map}: {exc}") from exc
+    obj = json.loads(read_text(args.map))
     cmap = trit_map_from_json(obj, length=len(ineq.lhs), width=len(ineq.rhs))
     result = check_cut_contraction_certificate(model, ineq, cmap, exhaustive=args.exhaustive)
     violation = None
@@ -168,11 +156,7 @@ def _cmd_find_contraction(args) -> int:
         raise _UsageError("--budget must be positive")
     if args.parties is not None and args.parties <= 0:
         raise _UsageError("--parties must be positive")
-    try:
-        with open(args.ineq, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {args.ineq}: {exc}") from exc
+    text = read_text(args.ineq).strip()
     parties = args.parties
     if parties is None:
         letters = "".join(re.findall(r"S\(\s*([A-Z]+)", text))

@@ -10,9 +10,16 @@ and the pairwise norm is rank 2, so graph mode is the rank-2 case.
 Strings are ints (bit j = coordinate j) and both sides' coefficients are
 scaled by one common denominator, so a tuple's condition is the exact
 integer comparison ``W_lhs[OR ^ AND of its rows] >= W_rhs[OR ^ AND of
-their images]`` over tables of weights on every mask.  OR and AND ignore
-repeated rows, so a new string x meets the rank-k condition exactly when
-x with every set of 1..k-1 distinct assigned strings does.
+their images]`` over tables of weights on every mask.  One walk decides
+it everywhere: it folds rows into OR/AND accumulators, one per level in
+lexicographic index order, and stops at the first failing join.  The
+search walks increasing indices to depth k - 1 from a new string; OR and
+AND ignore repeated rows, so that covers every k-tuple it completes.
+The checkers walk nondecreasing indices to depth k, so they stop at the
+first failing k-tuple in ``combinations_with_replacement`` order: one
+row never fails (its mixed mask is 0), so a failing join (i1, ..., ij)
+with j < k has unequal indices and comes after the k-tuple (i1, ..., i1,
+i2, ..., ij), which has the same OR and AND.
 
 The searcher runs exhaustive backtracking with pruning, so an exhausted
 search certifies that no map exists.  A node budget guards instances
@@ -22,9 +29,7 @@ whose search space is astronomically large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
-from operator import and_, or_
+from itertools import product
 
 from .core import Bits, LinearInequality, occurrence_bitstrings, scale_of, scaled
 
@@ -69,9 +74,28 @@ def _weight_tables(ineq: LinearInequality) -> tuple[list[int], list[int]]:
     return table(ineq.lhs_coeffs), table(ineq.rhs_coeffs)
 
 
-def _mixed(masks: list[int]) -> int:
-    """Mask of the coordinates on which the given strings disagree."""
-    return reduce(or_, masks) ^ reduce(and_, masks)
+def _walker(rows: list[tuple[int, int]], w_lhs: list[int], w_rhs: list[int], repeat: bool):
+    """`walk(start, x_or, x_and, y_or, y_and, depth)`: index path of the first failing join, or None.
+
+    Folds one (string mask, image mask) row of `rows` (which may grow) per
+    level, up to `depth` levels, with nondecreasing indices from `start` when
+    `repeat`, increasing otherwise; ``w_lhs[x_or ^ x_and] < w_rhs[y_or ^ y_and]`` fails.
+    """
+    step = 0 if repeat else 1
+
+    def walk(start: int, x_or: int, x_and: int, y_or: int, y_and: int, depth: int) -> tuple[int, ...] | None:
+        for i in range(start, len(rows)):
+            x, y = rows[i]
+            o, a, p, q = x_or | x, x_and & x, y_or | y, y_and & y
+            if w_lhs[o ^ a] < w_rhs[p ^ q]:
+                return (i,)
+            if depth > 1:
+                path = walk(i + step, o, a, p, q, depth - 1)
+                if path is not None:
+                    return (i, *path)
+        return None
+
+    return walk
 
 
 def _fixed_points(ineq: LinearInequality) -> dict[Bits, Bits] | None:
@@ -100,8 +124,8 @@ def _check_totality(mapping: dict[Bits, Bits], ineq: LinearInequality) -> None:
             raise ValueError(f"image of {''.join(map(str, x))} is not a {width}-bit string")
 
 
-def _check(mapping: dict[Bits, Bits], ineq: LinearInequality, tuples, reason: str) -> ContractionReport:
-    """Totality, the occurrence fixed points, then the first violating tuple from `tuples()`."""
+def _check(mapping: dict[Bits, Bits], ineq: LinearInequality, keys: list, k: int, reason: str) -> ContractionReport:
+    """Totality, the occurrence fixed points, then the first violating k-tuple of `keys`."""
     _check_totality(mapping, ineq)
     fixed = _fixed_points(ineq)
     if fixed is None:
@@ -111,17 +135,17 @@ def _check(mapping: dict[Bits, Bits], ineq: LinearInequality, tuples, reason: st
             return ContractionReport(
                 False, violation=(x,), reason=f"occurrence fixed point broken at {''.join(map(str, x))}"
             )
-    w_lhs, w_rhs = _weight_tables(ineq)
-    masks = {x: (_mask(x), _mask(y)) for x, y in mapping.items()}
-    for rows in tuples():
-        if w_lhs[_mixed([masks[x][0] for x in rows])] < w_rhs[_mixed([masks[x][1] for x in rows])]:
-            return ContractionReport(False, violation=rows, reason=reason)
+    rows = [(_mask(x), _mask(mapping[x])) for x in keys]
+    # -1 (all bits set) is the identity of AND
+    path = _walker(rows, *_weight_tables(ineq), repeat=True)(0, 0, -1, 0, -1, k)
+    if path is not None:
+        return ContractionReport(False, violation=tuple(keys[i] for i in path), reason=reason)
     return ContractionReport(True)
 
 
 def check_graph_contraction(mapping: dict[Bits, Bits], ineq: LinearInequality) -> ContractionReport:
     """Pairwise weighted-Hamming contraction plus the occurrence fixed points."""
-    return _check(mapping, ineq, lambda: combinations(mapping, 2), "norm contraction violated")
+    return _check(mapping, ineq, list(mapping), 2, "norm contraction violated")
 
 
 def check_hypergraph_contraction(
@@ -134,9 +158,7 @@ def check_hypergraph_contraction(
     """
     if k < 2:
         raise ValueError("rank must be at least 2")
-    return _check(
-        mapping, ineq, lambda: combinations_with_replacement(sorted(mapping), k), "indicator contraction violated"
-    )
+    return _check(mapping, ineq, sorted(mapping), k, "indicator contraction violated")
 
 
 def search_contraction_map(
@@ -164,18 +186,9 @@ def search_contraction_map(
     fixed = _fixed_points(ineq)
     if fixed is None:
         return SearchResult(NOT_FOUND, note="occurrence bitstrings are contradictory")
-    w_lhs, w_rhs = _weight_tables(ineq)
     k = 2 if mode == "graph" else rank
     assigned: list[tuple[int, int]] = []  # (string mask, image mask) in assignment order
-
-    def tuples_ok(start: int, x_or: int, x_and: int, y_or: int, y_and: int, more: int) -> bool:
-        # the folded rows joined to every set of 1..more+1 strings from assigned[start:]
-        for x2, y2 in assigned[start:]:
-            start += 1
-            o, a, p, q = x_or | x2, x_and & x2, y_or | y2, y_and & y2
-            if w_lhs[o ^ a] < w_rhs[p ^ q] or (more and not tuples_ok(start, o, a, p, q, more - 1)):
-                return False
-        return True
+    walk = _walker(assigned, *_weight_tables(ineq), repeat=False)
 
     # strings by Hamming weight, then lexicographically; the pre-seeded
     # fixed points must already be mutually consistent
@@ -183,7 +196,7 @@ def search_contraction_map(
     found: dict[Bits, Bits] = {}
     for x in [x for x in order if x in fixed]:
         xm, ym = _mask(x), _mask(fixed[x])
-        if not tuples_ok(0, xm, xm, ym, ym, k - 2):
+        if walk(0, xm, xm, ym, ym, k - 1) is not None:
             return SearchResult(NOT_FOUND, note="occurrence fixed points are not a contraction")
         assigned.append((xm, ym))
         found[x] = fixed[x]
@@ -203,7 +216,7 @@ def search_contraction_map(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _BudgetExceeded
-            if tuples_ok(0, xm, xm, ym, ym, k - 2):
+            if walk(0, xm, xm, ym, ym, k - 1) is None:
                 assigned.append((xm, ym))
                 found[x] = y
                 if descend(pos + 1):

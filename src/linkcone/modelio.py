@@ -206,12 +206,18 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_model(path: str):
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable or undecodable file is a `ModelFileError`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
+
+
+def load_model(path: str):
+    try:
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
     return model_from_json(obj)

@@ -10,9 +10,11 @@ Contraction maps are checked and searched with `Fraction` sums over bit
 tuples instead of the library's integer-scaled weight tables over
 bitmasks.  The link-model generator and the certificate check are kept
 as the library had them before their speed-ups, as references that
-generated models and check reports must match, and so is the link
-min-cut's subset search, which the pair-atom max-flow must match cut for
-cut.
+generated models and check reports must match; the certificate check and
+the derivation of a map from its zero cells keep their own copy of the
+RHS cut split, which classifies every cell against the interior and
+exterior.  So is the link min-cut's subset search, which the pair-atom
+max-flow must match cut for cut.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from linkcone.certificates import (
     CertificateError,
     InconsistentAssignment,
     TritContractionMap,
+    TritPartition,
+    Trits,
     _credit_bridges,
-    _rhs_cut_split,
     build_trit_partition,
 )
 from linkcone.contraction import BUDGET_EXCEEDED, FOUND, NOT_FOUND, ContractionReport, SearchResult
@@ -53,6 +56,7 @@ from linkcone.links import (
     _names_of,
     _separates,
     _subsystem_externals,
+    is_valid_loop_cut,
     link_entropy,
 )
 
@@ -418,6 +422,68 @@ def reference_generate_link_model(
         weights=weights,
         external={i + 1: name for i, name in enumerate(externals)},
         structure=AtomicLinkages(tuple(chosen)),
+    )
+
+
+def _rhs_cut_split(
+    model: LinkModel,
+    subsystem: Subsystem,
+    zero_cells: list[Trits],
+    partition: TritPartition,
+    term_name: str,
+):
+    """Cut, interior and exterior induced for one RHS term by its zero cells."""
+    cut_loops = frozenset().union(*(partition.cells[c] for c in zero_cells)) if zero_cells else frozenset()
+    try:
+        valid = is_valid_loop_cut(model, subsystem, cut_loops)
+    except ValueError as exc:
+        raise InconsistentAssignment(f"cut for {term_name} is unusable: {exc}") from exc
+    if not valid:
+        raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
+    inside = frozenset(model.external[i] for i in subsystem)
+    interior, exterior = _cut_sides(model, subsystem, cut_loops)
+    if interior & model.external_loops != inside:
+        raise InconsistentAssignment(
+            f"interior externals for {term_name} differ from the term's parties"
+        )
+    return cut_loops, interior, exterior
+
+
+def reference_derive_rhs_assignment(
+    model: LinkModel,
+    ineq: LinearInequality,
+    zeros,
+    partition: TritPartition | None = None,
+) -> TritContractionMap:
+    """`derive_rhs_assignment` as it was, classifying every cell against the interior and exterior."""
+    if partition is None:
+        partition = build_trit_partition(model, ineq)
+    zeros = {tuple(cell): frozenset(rs) for cell, rs in zeros.items()}
+    for cell, rs in zeros.items():
+        if cell not in partition.cells:
+            raise CertificateError(f"zeros reference the empty cell {cell}")
+        if not rs <= set(range(len(ineq.rhs))):
+            raise CertificateError(f"zeros for cell {cell} reference RHS terms out of range")
+    images: dict[Trits, list[int]] = {cell: [0] * len(ineq.rhs) for cell in partition.cells}
+    for r, subsystem in enumerate(ineq.rhs_subsystems):
+        term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
+        zero_cells = [cell for cell in partition.cells if r in zeros.get(cell, frozenset())]
+        _, interior, exterior = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
+        for cell, members in partition.cells.items():
+            if cell in zero_cells:
+                images[cell][r] = 0
+            elif members <= interior:
+                images[cell][r] = 1
+            elif members <= exterior:
+                images[cell][r] = -1
+            else:
+                raise InconsistentAssignment(
+                    f"cell {cell} straddles the interior and exterior of {term_name}"
+                )
+    return TritContractionMap(
+        images={cell: tuple(img) for cell, img in images.items()},
+        length=partition.length,
+        width=len(ineq.rhs),
     )
 
 

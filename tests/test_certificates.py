@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -27,7 +28,7 @@ from linkcone.links import (
     ray15_link,
 )
 
-from oracles import reference_check_cut_contraction_certificate
+from oracles import reference_check_cut_contraction_certificate, reference_derive_rhs_assignment
 
 SA2 = parse_inequality("S(A) + S(B) >= S(AB)", 2)
 
@@ -330,13 +331,19 @@ class TestCheckMatchesReference:
         return result.ok, result.reason, result.violation, result.diagnostics
 
     @staticmethod
-    def _maps(model, ineq, rng):
+    def _zero_sets(part, ineq, rng):
+        """The union-cut zeros (single RHS term only) and five random zero sets."""
+        zero_sets = [union_cut_zero_assignment(part)] if len(ineq.rhs) == 1 else []
+        for _ in range(5):
+            zero_sets.append({c: {r for r in range(len(ineq.rhs)) if rng.random() < 0.4} for c in sorted(part.cells)})
+        return zero_sets
+
+    @classmethod
+    def _maps(cls, model, ineq, rng):
         """The union-cut map, maps derived from random zeros, and one single-cell mutant of each."""
         part = build_trit_partition(model, ineq)
         cells = sorted(part.cells)
-        zero_sets = [union_cut_zero_assignment(part)] if len(ineq.rhs) == 1 else []
-        for _ in range(5):
-            zero_sets.append({c: {r for r in range(len(ineq.rhs)) if rng.random() < 0.4} for c in cells})
+        zero_sets = cls._zero_sets(part, ineq, rng)
         maps = []
         for zeros in zero_sets:
             try:
@@ -364,3 +371,27 @@ class TestCheckMatchesReference:
                     assert self._report(check_cut_contraction_certificate, m, ineq, cmap, exhaustive) == expected
                     outcomes.add("ok" if expected[0] else "violation" if expected[2] else "rejected")
         assert outcomes == {"ok", "violation", "rejected"}
+
+    def test_derive_matches_reference(self):
+        # the same models and zero sets, plus zeros on an empty cell and on a term out of range
+        rng = random.Random(3)
+        outcomes = set()
+        for seed in range(24):
+            parties = 2 + seed % 2
+            m = generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5,
+                                                   max_arity=4, seed=seed)
+            for text in self.INEQS[parties]:
+                ineq = parse_inequality(text, parties)
+                part = build_trit_partition(m, ineq)
+                empty = next(c for c in product((-1, 0, 1), repeat=part.length) if c not in part.cells)
+                zero_sets = self._zero_sets(part, ineq, rng) + [{empty: {0}}, {min(part.cells): {len(ineq.rhs)}}]
+                for zeros in zero_sets:
+                    outcome = []
+                    for derive in (derive_rhs_assignment, reference_derive_rhs_assignment):
+                        try:
+                            outcome.append(derive(m, ineq, zeros, part).images)
+                        except (CertificateError, InconsistentAssignment) as exc:
+                            outcome.append((type(exc), str(exc)))
+                    assert outcome[0] == outcome[1]
+                    outcomes.add("map" if isinstance(outcome[0], dict) else outcome[0][0].__name__)
+        assert outcomes == {"map", "CertificateError", "InconsistentAssignment"}

@@ -178,7 +178,8 @@ class TestSearch:
         # the benchmark's inputs: exhaustive graph-mode runs over the orbit of
         # the separating inequality under party <-> purifier swaps, and the
         # A <-> purifier swap at fixed budgets in every mode
-        for party, expected in ((0, (32, 0)), (2, (2880, 6)), (3, (2656, 8)), (4, (2656, 8)), (5, (224, 3))):
+        for party, expected in ((0, (32, 0)), (1, (424000, 15)), (2, (2880, 6)), (3, (2656, 8)), (4, (2656, 8)),
+                                (5, (224, 3))):
             ineq = SEPARATING if party == 0 else _swap_with_purifier(SEPARATING, party)
             result = search_contraction_map(ineq, mode="graph")
             assert (result.status, result.nodes, result.depth) == (NOT_FOUND, *expected), party

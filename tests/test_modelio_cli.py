@@ -222,6 +222,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("parse error: cannot read")
 
+    @pytest.mark.parametrize("which", ["model", "ineq", "find-ineq", "map"])
+    def test_undecodable_input_is_parse_error(self, tmp_path, capsys, which):
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"S(A) + S(B) >= S(AB) caf\xe9")  # Latin-1, not UTF-8
+        files = {
+            "model": self._ray15_file(tmp_path),
+            "ineq": write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)"),
+            "map": write(tmp_path, "map.json", {}),
+        }
+        files[which.removeprefix("find-")] = str(undecodable)
+        argv = {
+            "model": ["entropy-vector", "--model", files["model"]],
+            "ineq": ["check-ineq", "--model", files["model"], "--ineq", files["ineq"]],
+            "find-ineq": ["find-contraction", "--ineq", files["ineq"]],
+            "map": ["check-ineq", "--model", files["model"], "--ineq", files["ineq"],
+                    "--method", "certificate", "--map", files["map"]],
+        }[which]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: cannot read")
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.json", "{not json")
         assert main(["entropy", "--model", bad, "--subsystem", "A"]) == 2
