@@ -23,6 +23,7 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -99,35 +100,19 @@ def subsystem_label(subsystem: Subsystem) -> str:
     return "".join(party_letter(i) for i in sorted(subsystem))
 
 
-def subsystem_sort_key(subsystem: Subsystem) -> tuple[int, tuple[int, ...]]:
-    return (len(subsystem), tuple(sorted(subsystem)))
-
-
-_SUBSYSTEM_ORDER: dict[int, tuple[Subsystem, ...]] = {}
-_SUBSYSTEM_INDEX: dict[int, dict[Subsystem, int]] = {}
-
-
+@cache
 def all_subsystems(n: int) -> tuple[Subsystem, ...]:
     """All 2**n - 1 subsystems in canonical (cardinality, then lex) order."""
     if n < 1:
         raise ValueError("need at least one party")
-    if n not in _SUBSYSTEM_ORDER:
-        order = tuple(
-            frozenset(combo)
-            for size in range(1, n + 1)
-            for combo in combinations(range(1, n + 1), size)
-        )
-        _SUBSYSTEM_ORDER[n] = order
-        _SUBSYSTEM_INDEX[n] = {sub: i for i, sub in enumerate(order)}
-    return _SUBSYSTEM_ORDER[n]
+    return tuple(
+        frozenset(combo) for size in range(1, n + 1) for combo in combinations(range(1, n + 1), size)
+    )
 
 
-def subsystem_position(subsystem: Subsystem, n: int) -> int:
-    all_subsystems(n)
-    try:
-        return _SUBSYSTEM_INDEX[n][frozenset(subsystem)]
-    except KeyError:
-        raise ValueError(f"{set(subsystem)} is not a subsystem of [{n}]") from None
+@cache
+def _subsystem_index(n: int) -> dict[Subsystem, int]:
+    return {sub: i for i, sub in enumerate(all_subsystems(n))}
 
 
 @dataclass(frozen=True)
@@ -146,14 +131,13 @@ class EntropyVector:
             raise ValueError("entropy entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict[Subsystem, Fraction]) -> "EntropyVector":
-        return cls(n, tuple(Fraction(mapping[sub]) for sub in all_subsystems(n)))
-
     def value(self, subsystem: Subsystem | str) -> Fraction:
         if isinstance(subsystem, str):
             subsystem = subsystem_from_letters(subsystem, self.n)
-        return self.entries[subsystem_position(subsystem, self.n)]
+        try:
+            return self.entries[_subsystem_index(self.n)[frozenset(subsystem)]]
+        except KeyError:
+            raise ValueError(f"{set(subsystem)} is not a subsystem of [{self.n}]") from None
 
     def labeled(self) -> list[tuple[str, Fraction]]:
         return [(subsystem_label(sub), val) for sub, val in zip(all_subsystems(self.n), self.entries)]

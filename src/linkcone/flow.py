@@ -1,56 +1,56 @@
 """Integer max-flow kernel shared by the graph, hypergraph and link min-cuts.
 
-Callers scale their rational weights by one common denominator
-(`core.scale_of`), so every capacity is a Python `int` and flows are
-exact.  Graph and hypergraph cuts build their network in one place
-(`hypergraphs._cut_entropy`); pair-atom link cuts build the node-split
-network in `links`.
+Every model builds one `CutNetwork` on its first query: graphs and
+hypergraphs in `hypergraphs._cut_entropy`, pair-atom links in
+`links._pair_network`.  Weights are scaled by one common denominator
+(`core.scale_of`), so capacities are `int`s and flows exact.  Each
+terminal has two slots, source -> entry and exit -> sink, built closed; a
+query copies the capacities, opens its terminals' slots and runs the max
+flow on the copy, so no arc is added after the build.
 
 Arcs come in pairs: arc `e` and its reverse `e ^ 1`, whose residual
 capacities always sum to the pair's total.  An undirected edge is one
 pair with the same capacity both ways.  Max flow is Edmonds-Karp
 (shortest augmenting paths) on the residual capacities, which it leaves
-in place, so a caller can read residual reachability afterwards, add
-arcs and keep going.
+in place, so a caller can search the residual network afterwards, open
+more slots and keep going.
 """
 
 from __future__ import annotations
 
+from .core import scale_of, scaled
+
 
 class Network:
-    """Directed flow network on nodes `0..size-1` with integer capacities."""
+    """Residual network of one query: its builder's arcs, with capacities of its own."""
 
-    def __init__(self, size: int) -> None:
-        self.head: list[int] = []  # target node of each arc
-        self.cap: list[int] = []  # residual capacity of each arc
-        self.adj: list[list[int]] = [[] for _ in range(size)]
+    def __init__(self, head: list[int], cap: list[int], adj: list[list[int]]) -> None:
+        self.head, self.cap, self.adj = head, cap, adj  # arc targets, residual capacities, arcs per node
 
-    def add(self, u: int, v: int, cap: int, back: int = 0) -> int:
-        """Add arc u -> v of capacity `cap` (reverse capacity `back`); return its index."""
-        e = len(self.head)
-        self.head += (v, u)
-        self.cap += (cap, back)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
-        return e
+    def reach(self, starts, stop: int) -> list[int]:
+        """Residual BFS from `starts` until `stop`: the arc first reaching each node (-2 a start, -1 unreached)."""
+        head, cap, adj = self.head, self.cap, self.adj
+        via = [-1] * len(adj)
+        for u in starts:
+            via[u] = -2
+        frontier = list(starts)
+        while frontier and via[stop] == -1:
+            following = []
+            for u in frontier:
+                for e in adj[u]:
+                    v = head[e]
+                    if cap[e] and via[v] == -1:
+                        via[v] = e
+                        following.append(v)
+            frontier = following
+        return via
 
     def max_flow(self, source: int, sink: int) -> int:
         """Augment along shortest residual paths until the sink is cut off; return the flow added."""
-        head, cap, adj = self.head, self.cap, self.adj
+        head, cap = self.head, self.cap
         total = 0
         while True:
-            via = [-1] * len(adj)  # arc that first reached each node
-            via[source] = -2
-            frontier = [source]
-            while frontier and via[sink] == -1:
-                following = []
-                for u in frontier:
-                    for e in adj[u]:
-                        v = head[e]
-                        if cap[e] and via[v] == -1:
-                            via[v] = e
-                            following.append(v)
-                frontier = following
+            via = self.reach((source,), sink)
             if via[sink] == -1:
                 return total
             path = []
@@ -64,17 +64,41 @@ class Network:
                 cap[e ^ 1] += push
             total += push
 
-    def reachable(self, *starts: int) -> bytearray:
-        """Nodes reachable from any of `starts` along arcs with residual capacity (1 = reached)."""
-        seen = bytearray(len(self.adj))
-        stack = list(starts)
-        for u in stack:
-            seen[u] = 1
-        head, cap, adj = self.head, self.cap, self.adj
-        while stack:
-            for e in adj[stack.pop()]:
-                v = head[e]
-                if cap[e] and not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        return seen
+
+class CutNetwork:
+    """A model's cut network on nodes `0..nodes-1`, `source` and `sink`, built once.
+
+    `capacities` are the `weights` scaled by `scale`; `big` exceeds their sum.
+    """
+
+    def __init__(self, nodes: int, weights: list) -> None:
+        self.source, self.sink = nodes, nodes + 1
+        self.scale = scale_of(weights)
+        self.capacities = [scaled(w, self.scale) for w in weights]
+        self.big = sum(self.capacities) + 1
+        self.head: list[int] = []
+        self.cap: list[int] = []  # capacity of each arc, every slot closed
+        self.adj: list[list[int]] = [[] for _ in range(nodes + 2)]
+        self.slots: dict[int, tuple[int, int]] = {}  # terminal -> its arcs source -> entry, exit -> sink
+
+    def add(self, u: int, v: int, cap: int, back: int = 0) -> int:
+        """Add arc u -> v of capacity `cap` (reverse capacity `back`); return its index."""
+        e = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, back)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        return e
+
+    def slot(self, terminal: int, entry: int, exit: int) -> None:
+        """Give `terminal` its two closed slots, source -> entry and exit -> sink."""
+        self.slots[terminal] = (self.add(self.source, entry, 0), self.add(exit, self.sink, 0))
+
+    def solve(self, inside, outside) -> tuple[int, Network]:
+        """Max flow from the `inside` terminals to the `outside` ones, and its residual network."""
+        network = Network(self.head, self.cap.copy(), self.adj)
+        for terminal in inside:
+            network.cap[self.slots[terminal][0]] = self.big
+        for terminal in outside:
+            network.cap[self.slots[terminal][1]] = self.big
+        return network.max_flow(self.source, self.sink), network

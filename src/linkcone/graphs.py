@@ -3,20 +3,21 @@
 Subsystem entropy is the minimum total weight of edges separating the
 subsystem's external vertices from all other external vertices.  A graph
 is the rank-2 hypergraph: each edge is a two-member hyperedge, so the
-entropy is one integer max-flow on the cut network that `hypergraphs`
-builds, where every edge is one undirected arc pair.  The weights are
-scaled by the least common multiple of their denominators and the flow
-divided back, so the result is the exact rational; the test suite
-cross-checks it against exhaustive bipartition enumeration.
-Graphs are treated as immutable once built and every query is pure.
+entropy is one exact integer max-flow on the cut network `hypergraphs`
+builds once per model, where every edge is one undirected arc pair and a
+subsystem only opens its terminal slots.  Mutating a graph after its
+first query is unsupported; a race at first use only builds the network
+twice.  The test suite cross-checks the flow against exhaustive
+bipartition enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Subsystem, _check_external, entropy_vector
+from .flow import CutNetwork
 from .hypergraphs import _cut_entropy
 
 
@@ -32,6 +33,7 @@ class WeightedGraph:
     vertices: tuple[str, ...]
     external: dict[int, str]
     edges: tuple[tuple[str, str, Fraction], ...]
+    _network: CutNetwork | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vertices = tuple(self.vertices)
@@ -59,7 +61,7 @@ class WeightedGraph:
     # `graph`, not `self`: this method is also the public `graph_entropy`
     def entropy(graph: WeightedGraph, subsystem: Subsystem) -> Fraction:
         """Min-cut weight separating the subsystem's externals from all others."""
-        return _cut_entropy(graph.vertices, graph.external, [((u, v), w) for u, v, w in graph.edges], subsystem)
+        return _cut_entropy(graph, (((u, v), w) for u, v, w in graph.edges), subsystem)
 
 
 graph_entropy = WeightedGraph.entropy

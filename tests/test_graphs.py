@@ -77,8 +77,12 @@ def test_zero_weight_edges_allowed():
 def test_flow_equals_bipartition_oracle_randomized():
     for seed in range(80):
         g = generate_graph(2 + seed % 3, vertices=5 + seed % 8, edges=seed % 14, seed=seed)
-        for sub in all_subsystems(g.n):
+        # the graph's one cut network serves every subsystem, in either order
+        subsystems = all_subsystems(g.n)[::-1] if seed % 2 else all_subsystems(g.n)
+        for sub in subsystems:
             assert graph_entropy(g, sub) == bipartition_graph_mincut(g, sub), (seed, sub)
+        expected = tuple(bipartition_graph_mincut(g, sub) for sub in all_subsystems(g.n))
+        assert graph_entropy_vector(g).entries == expected, seed
 
 
 def test_purification_symmetry():

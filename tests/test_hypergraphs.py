@@ -70,13 +70,24 @@ def test_rank2_matches_graph_entropy():
             assert hypergraph_entropy(h, sub) == graph_entropy(g, sub), (seed, sub)
 
 
+def _check_every_subsystem(h: Hypergraph, seed: int) -> None:
+    """Entropies against plain enumeration, in reverse order on odd seeds, then the whole vector again.
+
+    The hypergraph's one cut network serves every query, so no order of
+    queries may change an answer.
+    """
+    expected = {sub: exhaustive_hypergraph_entropy(h, sub) for sub in all_subsystems(h.n)}
+    for sub in list(expected)[::-1] if seed % 2 else expected:
+        assert hypergraph_entropy(h, sub) == expected[sub], (seed, sub)
+    assert hypergraph_entropy_vector(h).entries == tuple(expected.values()), seed
+
+
 def test_branch_and_bound_matches_plain_enumeration():
     for seed in range(60):
         h = generate_hypergraph(
             2 + seed % 3, vertices=5 + seed % 6, hyperedges=seed % 8, max_arity=4, seed=seed
         )
-        for sub in all_subsystems(h.n):
-            assert hypergraph_entropy(h, sub) == exhaustive_hypergraph_entropy(h, sub), (seed, sub)
+        _check_every_subsystem(h, seed)
 
 
 def test_duplicate_member_lists_kept():
@@ -119,5 +130,4 @@ def test_mixed_denominators_match_plain_enumeration():
     for seed in range(60):
         h = generate_hypergraph(2 + seed % 3, vertices=4 + seed % 6, hyperedges=2 + seed % 8,
                                 max_arity=4, seed=seed, weight_choices=weights)
-        for sub in all_subsystems(h.n):
-            assert hypergraph_entropy(h, sub) == exhaustive_hypergraph_entropy(h, sub), (seed, sub)
+        _check_every_subsystem(h, seed)

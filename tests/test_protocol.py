@@ -1,16 +1,25 @@
 """One model protocol: `n`, `entropy(subsystem)` and `entropy_vector(model)` for every kind."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from linkcone import flow
 from linkcone.certificates import check_inequality_direct
 from linkcone.core import all_subsystems, entropy_vector, evaluate_inequality, parse_inequality
 from linkcone.generate import generate_graph, generate_hypergraph, generate_link_model
 from linkcone.graphs import WeightedGraph, graph_entropy, graph_entropy_vector
 from linkcone.hypergraphs import Hypergraph, hypergraph_entropy, hypergraph_entropy_vector
-from linkcone.links import LinkModel, hypergraph_to_link, link_entropy, link_entropy_vector, ray15_link
+from linkcone.links import (
+    LinkModel,
+    hypergraph_to_link,
+    link_entropy,
+    link_entropy_vector,
+    link_min_cut,
+    ray15_link,
+)
 
 from oracles import bipartition_graph_mincut, exhaustive_hypergraph_entropy
 
@@ -98,3 +107,47 @@ def test_method_equals_public_function_for_every_kind():
         for sub in all_subsystems(model.n):
             assert model.entropy(sub) == public(model, sub), (type(model).__name__, sub)
         assert entropy_vector(model).entries == tuple(model.entropy(sub) for sub in all_subsystems(model.n))
+
+
+def test_each_model_builds_one_network(monkeypatch):
+    # only the terminal slots depend on the subsystem, so a model builds its
+    # cut network on the first query and every later subsystem reuses it
+    built = []
+    build = flow.CutNetwork.__init__
+
+    def counted(network, *args):
+        built.append(network)
+        build(network, *args)
+
+    monkeypatch.setattr(flow.CutNetwork, "__init__", counted)
+    h = seeded_hypergraph(5)
+    for model in (seeded_graph(5), h, hypergraph_to_link(h)):
+        built.clear()
+        first = entropy_vector(model)
+        assert entropy_vector(model) == first
+        assert len(built) == 1, type(model).__name__
+
+
+def test_replace_builds_a_fresh_model():
+    # a model built by `dataclasses.replace` answers like one built from
+    # scratch: no min-cut or network of the old model carries over
+    link = ray15_link()
+    graph, hypergraph = seeded_graph(6), seeded_hypergraph(6)
+    for model in (link, graph, hypergraph):
+        entropy_vector(model)
+    weights = dict(link.weights, w2=Fraction(7))
+    edges = tuple((u, v, 2 * w) for u, v, w in graph.edges)
+    hyperedges = tuple((members, 2 * w) for members, w in hypergraph.hyperedges)
+    cases = [
+        (dataclasses.replace(link, weights=weights), LinkModel(link.loops, weights, link.external, link.structure)),
+        (dataclasses.replace(graph, edges=edges), WeightedGraph(graph.vertices, graph.external, edges)),
+        (
+            dataclasses.replace(hypergraph, hyperedges=hyperedges),
+            Hypergraph(hypergraph.vertices, hypergraph.external, hyperedges),
+        ),
+    ]
+    for old, (changed, fresh) in zip((link, graph, hypergraph), cases):
+        assert entropy_vector(changed) == entropy_vector(fresh) != entropy_vector(old), type(old).__name__
+    changed, fresh = cases[0]
+    for sub in all_subsystems(link.n):
+        assert link_min_cut(changed, sub) == link_min_cut(fresh, sub), sub
