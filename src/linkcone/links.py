@@ -30,8 +30,11 @@ When every atom is a pair of loops, linking is plain adjacency and a
 minimum loop cut is a minimum vertex separator: `link_min_cut` solves it
 with one integer max-flow on the node-split network, built once per model
 (`flow.CutNetwork`), which for a converted hypergraph is Lawler's network.
-Other structures keep a pruned search over subsets of the cuttable
-loops, exponential in their number.
+Other structures get a branching search on integer-scaled weights: valid
+cuts are closed under supersets, so a failing cut only needs extending by
+a loop of a witness, for atoms a shortest chain of whole atoms from the
+subsystem to the other externals, for a table every allowed candidate.
+It is exponential in the worst case and has no node budget.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Subsystem, _check_external, _check_subsystem, all_subsystems, entropy_vector
+from .core import Subsystem, _check_external, _check_subsystem, all_subsystems, entropy_vector, scale_of, scaled
 from .flow import CutNetwork
 from .hypergraphs import Hypergraph
 
@@ -167,12 +170,17 @@ class LinkModel:
                 raise ValueError(f"negative weight on loop {loop!r}")
             self.weights[loop] = w
         self._cache["index"] = {name: i for i, name in enumerate(self.loops)}
+        self._cache["singletons"] = [frozenset((name,)) for name in self.loops]
         self._cache["externals"] = externals
         if isinstance(self.structure, AtomicLinkages):
             for atom in self.structure.atoms:
                 if not atom <= loop_set:
                     raise ValueError(f"atom {sorted(atom)} references unknown loops")
-            self._cache["atoms"] = [_mask_of(self, atom) for atom in self.structure.atoms]
+            atoms = self._cache["atoms"] = [_mask_of(self, atom) for atom in self.structure.atoms]
+            atoms_at = self._cache["atoms_at"] = [[] for _ in self.loops]  # the atoms at each loop
+            for atom in atoms:
+                for i in _indices(atom):
+                    atoms_at[i].append(atom)
             # loops in no atom never affect connectivity, so no cut needs them
             linked = _mask_of(self, set().union(*self.structure.atoms))
         else:
@@ -241,6 +249,8 @@ def _mask_of(model: LinkModel, names) -> int:
 
 
 def _names_of(model: LinkModel, mask: int) -> frozenset[str]:
+    if not mask & (mask - 1):
+        return model._cache["singletons"][mask.bit_length() - 1] if mask else frozenset()
     loops = model.loops
     names = []
     while mask:
@@ -258,25 +268,38 @@ def _indices(mask: int) -> list[int]:
 def _blocks(model: LinkModel, present: int) -> list[int]:
     """Connected-sublink blocks of the loops in `present`, ordered by lowest bit.
 
-    A table answers by lookup.  With atoms, each block grows from its
-    lowest loop by absorbing every atom inside `present` that touches it.
-    The returned list may be shared: callers must not mutate it.
+    A table answers by lookup.  With atoms, one pass merges every atom
+    inside `present` into the group of atoms it touches; each loop that no
+    such atom covers is a block of its own.  The returned list may be
+    shared: callers must not mutate it.
     """
     table = model._cache.get("table")
     if table is not None:
         return table[present]
-    live = [atom for atom in model._cache["atoms"] if not atom & ~present]
+    groups: list[int] = []
+    for atom in model._cache["atoms"]:
+        if atom & ~present:
+            continue
+        # groups are disjoint, so one that meets the merged mask meets `atom`
+        apart = []
+        for group in groups:
+            if group & atom:
+                atom |= group
+            else:
+                apart.append(group)
+        apart.append(atom)
+        groups = apart
+    lows = present  # the lowest loop of every block
+    for group in groups:
+        lows &= ~group | group & -group
     blocks = []
-    while present:
-        block = present & -present
-        touching = True
-        while touching:
-            touching = [atom for atom in live if atom & block]
-            live = [atom for atom in live if not atom & block]
-            for atom in touching:
-                block |= atom
-        blocks.append(block)
-        present &= ~block
+    while lows:
+        low = lows & -lows
+        blocks.append(low)
+        lows ^= low
+    if groups:
+        by_low = {group & -group: group for group in groups}
+        blocks = [by_low.get(low, low) for low in blocks]
     return blocks
 
 
@@ -325,28 +348,90 @@ def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
     return _separates(model, inside, outside, _mask_of(model, cut))
 
 
+def _chain(model: LinkModel, inside: int, outside: int, cut: int) -> int:
+    """Loops of a shortest chain of atoms that `cut` leaves whole, from `inside` to `outside`; 0 if none.
+
+    A breadth-first search over loops, stepping through the atoms at each
+    loop, so the chain has as few atoms as any.
+    """
+    atoms_at = model._cache["atoms_at"]
+    came: dict[int, tuple[int, int]] = {}  # loop -> (atom that reached it, loop it was reached from)
+    reached = inside
+    frontier = _indices(inside)
+    while frontier:
+        following = []
+        for i in frontier:
+            for atom in atoms_at[i]:
+                new = atom & ~reached
+                if not new or atom & cut:
+                    continue
+                reached |= new
+                for j in _indices(new):
+                    came[j] = (atom, i)
+                    following.append(j)
+                if new & outside:
+                    j = (new & outside).bit_length() - 1
+                    chain = 0
+                    while j in came:
+                        atom, j = came[j]
+                        chain |= atom
+                    return chain
+        frontier = following
+    return 0
+
+
 def _search_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction, int]:
-    """Weight and mask of the tie-broken minimum cut by a pruned subset search."""
-    everything = model._cache["candidates"]
-    order = _indices(everything)
-    weights = [model.weights[model.loops[i]] for i in order]
-    # Cutting every candidate is valid, and the search below reaches it or
-    # a cut that beats it, so it is a safe starting point.
-    best = (sum(weights, Fraction(0)), tuple(order), everything)
+    """Weight and mask of the tie-broken minimum cut by branching on witnesses.
 
-    def descend(pos: int, cut: int, idx_tuple: tuple[int, ...], weight: Fraction) -> None:
+    Removing loops only splits blocks, so every superset of a valid cut is
+    valid.  A node is a cut S with a set of banned loops; while S fails, a
+    witness holds candidate loops one of which every valid extension must
+    cut.  Child i takes the i-th allowed witness loop and bans the ones
+    before it, so the children split the node's valid extensions.  With
+    atoms the witness is a shortest chain of whole atoms from the
+    subsystem to the other externals.  A table may hold a block together
+    through a loop outside it, so there every allowed candidate is the
+    witness, which is the plain subset search in index order.
+
+    Weights are scaled to `int`s, keys are (weight, sorted loop indices)
+    and nodes heavier than the best key so far are dropped.  Under a
+    valid S only zero-weight loops keep the weight; one below max(S)
+    makes the index list smaller where it first differs, one above only
+    lengthens it.  So S plus every allowed zero-weight loop below max(S)
+    is the best cut under the node.  The search is exponential in the
+    worst case.
+    """
+    candidates = model._cache["candidates"]
+    order = _indices(candidates)
+    scale = scale_of(model.weights[model.loops[i]] for i in order)
+    weight_of = {i: scaled(model.weights[model.loops[i]], scale) for i in order}
+    zeros = sum(1 << i for i in order if not weight_of[i])
+    table = "table" in model._cache
+    # cutting every candidate is valid (the caller checked), so it bounds the search
+    best = (sum(weight_of.values()), order, candidates)
+
+    def descend(cut: int, banned: int, weight: int) -> None:
         nonlocal best
-        if weight > best[0]:
+        allowed = candidates & ~cut & ~banned
+        if table:
+            valid, witness = _separates(model, inside, outside, cut), allowed
+        else:
+            witness = _chain(model, inside, outside, cut)
+            valid, witness = not witness, witness & allowed
+        if valid:
+            # the root cut (empty) never separates, so max(S) exists
+            cut |= zeros & allowed & ((1 << cut.bit_length() - 1) - 1)
+            key = (weight, _indices(cut), cut)
+            if key < best:
+                best = key
             return
-        if _separates(model, inside, outside, cut):
-            best = min(best, (weight, idx_tuple, cut))
-            return
-        for j in range(pos, len(order)):
-            i = order[j]
-            descend(j + 1, cut | 1 << i, idx_tuple + (i,), weight + weights[j])
+        for i in _indices(witness):
+            if weight + weight_of[i] <= best[0]:
+                descend(cut | 1 << i, banned, weight + weight_of[i])
+            banned |= 1 << i
 
-    descend(0, 0, (), Fraction(0))
-    return best[0], best[2]
+    descend(0, 0, 0)
+    return Fraction(best[0], scale), best[2]
 
 
 def _pair_network(model: LinkModel) -> CutNetwork | None:
@@ -430,7 +515,8 @@ def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
     the tie-break takes, in ascending index order until the cut separates,
     each loop that some minimum cut agreeing with the earlier choices
     contains, read off the residual network.  Larger atoms and connectivity
-    tables keep a pruned search over candidate subsets.
+    tables use `_search_min_cut`, which branches on the loops of a witness
+    every valid cut must meet; it is exponential in the worst case.
     """
     subsystem = frozenset(subsystem)
     cached = model._cache.get(("mincut", subsystem))

@@ -13,8 +13,10 @@ as the library had them before their speed-ups, as references that
 generated models and check reports must match; the certificate check and
 the derivation of a map from its zero cells keep their own copy of the
 RHS cut split, which classifies every cell against the interior and
-exterior.  So is the link min-cut's subset search, which the pair-atom
-max-flow must match cut for cut.
+exterior.  So is the link min-cut's subset search, on its own copy of
+the block growth and cut sides the library had then: the pair-atom
+max-flow and the witness branching must match it cut for cut, and a
+change to the library's connectivity kernel leaves it as it is.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ from linkcone.links import (
     LinkModel,
     LoopCutResult,
     UncuttableSubsystemError,
-    _cut_sides,
-    _names_of,
-    _separates,
     _subsystem_externals,
     is_valid_loop_cut,
     link_entropy,
@@ -441,7 +440,7 @@ def _rhs_cut_split(
     if not valid:
         raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
     inside = frozenset(model.external[i] for i in subsystem)
-    interior, exterior = _cut_sides(model, subsystem, cut_loops)
+    interior, exterior = reference_cut_sides(model, subsystem, cut_loops)
     if interior & model.external_loops != inside:
         raise InconsistentAssignment(
             f"interior externals for {term_name} differ from the term's parties"
@@ -618,20 +617,59 @@ def reference_check_cut_contraction_certificate(
 
 
 # ---------------------------------------------------------------------------
-# link min-cut as the library computed it before the pair-atom max-flow
+# link min-cut as the library computed it before the pair-atom max-flow and
+# the witness branching, with its own copy of the block growth it ran on
+
+
+def _reference_blocks(model: LinkModel, present: int) -> list[int]:
+    """Blocks of the loop mask `present`, ordered by lowest bit: each grows from its lowest loop."""
+    table = model._cache.get("table")
+    if table is not None:
+        return table[present]
+    live = [atom for atom in model._cache["atoms"] if not atom & ~present]
+    blocks = []
+    while present:
+        block = present & -present
+        touching = True
+        while touching:
+            touching = [atom for atom in live if atom & block]
+            live = [atom for atom in live if not atom & block]
+            for atom in touching:
+                block |= atom
+        blocks.append(block)
+        present &= ~block
+    return blocks
+
+
+def _reference_separates(model: LinkModel, inside: int, outside: int, cut: int) -> bool:
+    rest = ((1 << len(model.loops)) - 1) & ~cut
+    return not any(b & inside and b & outside for b in _reference_blocks(model, rest))
+
+
+def _reference_names(model: LinkModel, mask: int) -> frozenset[str]:
+    return frozenset(x for i, x in enumerate(model.loops) if mask >> i & 1)
+
+
+def reference_cut_sides(model: LinkModel, subsystem: Subsystem, cut) -> tuple[frozenset[str], frozenset[str]]:
+    """Interior and exterior left by removing the loop names `cut`, as `_cut_sides` returns them."""
+    inside, _ = _subsystem_externals(model, subsystem)
+    rest = ((1 << len(model.loops)) - 1) & ~sum(1 << model.loop_index(x) for x in cut)
+    interior = sum(b for b in _reference_blocks(model, rest) if b & inside)
+    return _reference_names(model, interior), _reference_names(model, rest & ~interior)
 
 
 def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
     """`link_min_cut` by the pruned subset search, for every structure.
 
-    The search is the library's, unchanged; only the per-model result
+    The search is the library's before witness branching, on `Fraction`
+    weights and its own copy of the block growth; the per-model result
     cache is left out, so the reference never answers from (or fills)
     the cache the library reads.
     """
     subsystem = frozenset(subsystem)
     inside, outside = _subsystem_externals(model, subsystem)
     everything = model._cache["candidates"]
-    if not _separates(model, inside, outside, everything):
+    if not _reference_separates(model, inside, outside, everything):
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )
@@ -645,7 +683,7 @@ def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutRes
         nonlocal best
         if weight > best[0]:
             return
-        if _separates(model, inside, outside, cut):
+        if _reference_separates(model, inside, outside, cut):
             best = min(best, (weight, idx_tuple, cut))
             return
         for j in range(pos, len(order)):
@@ -654,8 +692,8 @@ def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutRes
 
     descend(0, 0, (), Fraction(0))
     weight, _, cut_mask = best
-    cut = _names_of(model, cut_mask)
-    interior, exterior = _cut_sides(model, subsystem, cut)
+    cut = _reference_names(model, cut_mask)
+    interior, exterior = reference_cut_sides(model, subsystem, cut)
     return LoopCutResult(
         cut=cut,
         weight=weight,

@@ -20,6 +20,8 @@ from linkcone.links import (
     LinkModel,
     MonotonicityError,
     UncuttableSubsystemError,
+    _blocks,
+    _cut_sides,
     _irreducible_family,
     bridge_oracle,
     connected_sublinks,
@@ -42,6 +44,7 @@ from oracles import (
     bruteforce_link_mincut,
     bruteforce_minimal_bridges,
     exhaustive_hypergraph_entropy,
+    reference_cut_sides,
     reference_link_min_cut,
 )
 
@@ -80,6 +83,26 @@ class TestConnectedSublinks:
     def test_unknown_loop(self):
         with pytest.raises(ValueError):
             connected_sublinks(hopf_chain(), {"nope"})
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_blocks_match_bfs_on_every_subset(self, seed):
+        # atoms of 2-5 loops that overlap, plus atoms nested inside others
+        rng = random.Random(seed)
+        names = [f"x{i}" for i in range(rng.randint(6, 10))]
+        atoms = [frozenset(rng.sample(names, rng.randint(2, 5))) for _ in range(rng.randint(1, 6))]
+        atoms += [frozenset(rng.sample(sorted(a), 2)) for a in atoms if len(a) > 2 and rng.random() < 0.5]
+        m = LinkModel(
+            loops=tuple(names),
+            weights={x: Fraction(1) for x in names},
+            external={1: names[0], 2: names[-1]},
+            structure=AtomicLinkages(tuple(atoms)),
+        )
+        for present in range(1 << len(names)):
+            subset = frozenset(x for i, x in enumerate(names) if present >> i & 1)
+            expected = sorted(
+                (sum(1 << m.loop_index(x) for x in b) for b in _bfs_blocks(m, subset)), key=lambda b: b & -b
+            )
+            assert _blocks(m, present) == expected, (seed, sorted(subset))
 
 
 class TestConnectivityTable:
@@ -144,6 +167,30 @@ class TestConnectivityTable:
         cut = link_min_cut(model, frozenset({1}))
         assert (cut.cut, cut.weight) == (frozenset({"m2"}), 1)
         assert cut.interior == frozenset({"a", "m1"})
+
+    def test_block_held_together_from_outside(self):
+        # {a, b} is one block exactly when y is present too, so y lies in no
+        # block that meets both externals; a witness drawn from such a block
+        # would miss y and cut {y, z} at weight 6
+        fs = frozenset
+        loops = ("a", "b", "y", "z")
+        table = {}
+        for size in range(len(loops) + 1):
+            for combo in itertools.combinations(loops, size):
+                subset = fs(combo)
+                if {"a", "b", "y"} <= subset:
+                    table[subset] = (fs({"a", "b"}),) + tuple(fs({x}) for x in sorted(subset - {"a", "b"}))
+                else:
+                    table[subset] = tuple(fs({x}) for x in sorted(subset))
+        model = LinkModel(
+            loops=loops,
+            weights={"a": Fraction(1), "b": Fraction(1), "y": Fraction(1), "z": Fraction(5)},
+            external={1: "a", 2: "b"},
+            structure=ConnectivityTable(table),
+        )
+        cut = link_min_cut(model, frozenset({1}))
+        assert (cut.cut, cut.weight) == (fs({"y"}), 1)
+        assert cut == reference_link_min_cut(model, frozenset({1}))
 
     def test_monotonicity_violation_detected(self):
         fs = frozenset
@@ -407,6 +454,136 @@ class TestPairAtomFlow:
         h = generate_hypergraph(3, vertices=8, hyperedges=24, max_arity=4, seed=24)
         vector = link_entropy_vector(hypergraph_to_link(h))
         assert vector.entries == tuple(exhaustive_hypergraph_entropy(h, sub) for sub in all_subsystems(3))
+
+
+MIXED_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(2), INFINITE)
+
+
+def brunnian_model(seed: int) -> LinkModel:
+    """Seeded model with atoms of up to 3 (even seeds) or 4 loops, on 2-4 parties and up to 12 loops.
+
+    Internal weights mix zero, halves, thirds and INFINITE, and loops are
+    declared in shuffled order, so ties, zero-weight additions and
+    uncuttable subsystems all occur.
+    """
+    rng = random.Random(seed)
+    parties = rng.randint(2, 4)
+    loops = rng.randint(parties + 3, 12)
+    base = generate_link_model(parties, loops, rng.randint(2, loops), 3 + seed % 2, seed=seed)
+    weights = dict(base.weights)
+    for x in base.internal_loops:
+        weights[x] = rng.choice(MIXED_WEIGHTS)
+    names = list(base.loops)
+    rng.shuffle(names)
+    return LinkModel(tuple(names), weights, base.external, base.structure)
+
+
+def held_table_model(seed: int) -> LinkModel:
+    """Seeded table model on up to 9 loops whose blocks may be held together by loops outside them.
+
+    Each rule joins its members into one block while all of its holders
+    (the members plus 0-2 further loops) are present; fewer loops activate
+    fewer rules, so the table is deletion-monotone.
+    """
+    rng = random.Random(seed)
+    parties = rng.randint(2, 3)
+    externals = [party_letter(i) for i in range(1, parties + 2)]
+    names = externals + [f"u{i}" for i in range(rng.randint(parties + 3, 9) - len(externals))]
+    rng.shuffle(names)
+    rules = []
+    for _ in range(rng.randint(2, 7)):
+        members = frozenset(rng.sample(names, rng.randint(2, 3)))
+        rules.append((members, members | frozenset(rng.sample(names, rng.randint(0, 2)))))
+    table = {}
+    for size in range(len(names) + 1):
+        for combo in itertools.combinations(names, size):
+            subset = frozenset(combo)
+            blocks = [frozenset({x}) for x in subset]
+            for members, holders in rules:
+                if holders <= subset:
+                    touching = [b for b in blocks if b & members]
+                    blocks = [b for b in blocks if not b & members] + [frozenset().union(*touching)]
+            table[subset] = tuple(blocks)
+    weights = {x: Fraction(1) if x in externals else rng.choice(MIXED_WEIGHTS) for x in names}
+    return LinkModel(
+        loops=tuple(names),
+        weights=weights,
+        external={i + 1: x for i, x in enumerate(externals)},
+        structure=ConnectivityTable(table),
+    )
+
+
+class TestWitnessSearch:
+    """Atoms of three or more loops and tables run the witness branching; the subset search is the reference."""
+
+    @staticmethod
+    def _check_model(m, rng, bridges=True):
+        family = bruteforce_irreducible_family(m) if bridges else None
+        outcomes = set()
+        for sub in all_subsystems(m.n):
+            expected = _min_cut_or_error(reference_link_min_cut, m, sub)
+            # equal results: cut, weight, interior, exterior and tie-break text
+            assert _min_cut_or_error(link_min_cut, m, sub) == expected, sub
+            if isinstance(expected, str):
+                outcomes.add("uncuttable")
+                continue
+            outcomes.add(("zero" if expected.weight == 0 else "positive", min(len(expected.cut), 2)))
+            cuts = [expected.cut, frozenset(rng.sample(m.internal_loops, rng.randint(0, len(m.internal_loops))))]
+            for cut in cuts:
+                assert _cut_sides(m, sub, cut) == reference_cut_sides(m, sub, cut), (sub, cut)
+            if bridges:
+                assert list(minimal_bridges(m, sub)) == bruteforce_minimal_bridges(m, family, expected), sub
+        return outcomes
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_atoms_match_subset_search(self, block):
+        outcomes = set()
+        for seed in range(block * 50, block * 50 + 50):
+            m = brunnian_model(seed)
+            outcomes |= self._check_model(m, random.Random(seed))
+        assert outcomes >= {"uncuttable", ("zero", 2), ("positive", 1), ("positive", 2)}
+
+    def test_atoms_match_bruteforce(self):
+        checked = 0
+        for seed in range(80):
+            m = brunnian_model(seed)
+            linked = frozenset().union(*m.structure.atoms)
+            if any(m.weights[x] == 0 and x not in linked for x in m.internal_loops):
+                continue  # the oracle may add a zero-weight loop in no atom to its cut
+            for sub in all_subsystems(m.n):
+                result = _min_cut_or_error(link_min_cut, m, sub)
+                if isinstance(result, str):
+                    continue
+                checked += 1
+                weight, cut = bruteforce_link_mincut(m, sub)
+                assert (result.weight, result.cut) == (weight, cut), (seed, sub)
+        assert checked >= 300
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_tables_match_subset_search(self, seed):
+        self._check_model(held_table_model(seed), random.Random(seed), bridges=False)
+
+    def test_cliff_model_full_vector(self):
+        # 34 candidate loops: the subset search did not finish this vector in a minute
+        m = generate_link_model(4, 40, 60, 3, seed=1)
+        assert all(m.weights[x] > 0 for x in m.internal_loops)
+        universe = frozenset(m.loops)
+        for sub in all_subsystems(m.n):
+            result = link_min_cut(m, sub)
+            inside = {m.external[i] for i in sub}
+            outside = m.external_loops - inside
+
+            def separates(cut):
+                return not any(b & inside and b & outside for b in _bfs_blocks(m, universe - cut))
+
+            assert separates(result.cut), sub
+            assert not any(separates(result.cut - {x}) for x in result.cut), sub
+            assert result.weight == sum(m.weights[x] for x in result.cut)
+
+    def test_larger_model_matches_subset_search(self):
+        m = generate_link_model(4, 28, 36, 3, seed=1)
+        for sub in all_subsystems(m.n):
+            assert link_min_cut(m, sub) == reference_link_min_cut(m, sub), sub
 
 
 class TestRay15Vector:
