@@ -6,7 +6,9 @@ that term's cut interior, 0 inside the cut itself, -1 in the exterior.
 Loops sharing a trit-string form a cell, and the cells partition the
 loop set.  A trit-string map then assembles candidate RHS cuts out of
 cells, and a bridge-driven indicator table supplies the combinatorial
-inequality that has to hold tuple by tuple.
+inequality that has to hold tuple by tuple.  Inside, an RHS cut is the
+OR of its zero cells' loop masks, and one `links._interior` call gives
+its validity and every other cell's sign.
 
 All checks are instance-level: the indicator table depends on the chosen
 min-cuts of one specific model, so a passing certificate establishes the
@@ -23,8 +25,13 @@ from .links import (
     LinkModel,
     LoopCutResult,
     StratificationError,
-    _cut_sides,
-    is_valid_loop_cut,
+    _check_cut,
+    _indices,
+    _interior,
+    _mask_of,
+    _min_cut,
+    _names_of,
+    _subsystem_externals,
     link_min_cut,
     minimal_bridges,
 )
@@ -48,6 +55,8 @@ class TritPartition:
     cells: dict[Trits, frozenset[str]]
     loop_trits: dict[str, Trits]
     cuts: tuple[LoopCutResult, ...]
+    # the loop mask of every cell, set by `build_trit_partition`
+    _cell_masks: dict[Trits, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def cell_of(self, loop: str) -> Trits:
         return self.loop_trits[loop]
@@ -56,44 +65,27 @@ class TritPartition:
 def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartition:
     """Assign each loop its trit-string and materialize the nonempty cells.
 
-    The reconstruction identities (interiors from +1 cells, cuts from 0
-    cells) are checked before returning.
+    Trits are read off the loop masks of each min-cut and its interior, so
+    the +1 cells of a term make up its interior and the 0 cells its cut.
     """
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
     cuts = tuple(link_min_cut(model, sub) for sub in ineq.lhs_subsystems)
+    sides = [_min_cut(model, sub)[1:3] for sub in ineq.lhs_subsystems]  # (cut, interior) masks
     loop_trits: dict[str, Trits] = {}
-    for loop in model.loops:
-        trits = []
-        for cut in cuts:
-            if loop in cut.interior:
-                trits.append(1)
-            elif loop in cut.cut:
-                trits.append(0)
-            else:
-                trits.append(-1)
-        loop_trits[loop] = tuple(trits)
-    cells: dict[Trits, set[str]] = {}
-    for loop, trits in loop_trits.items():
-        cells.setdefault(trits, set()).add(loop)
-    frozen_cells = {trits: frozenset(members) for trits, members in cells.items()}
-    for l, cut in enumerate(cuts):
-        rebuilt_interior = frozenset().union(
-            *(members for trits, members in frozen_cells.items() if trits[l] == 1)
-        )
-        rebuilt_cut = frozenset().union(
-            *(members for trits, members in frozen_cells.items() if trits[l] == 0)
-        )
-        if rebuilt_interior != cut.interior:
-            raise RuntimeError("cell reconstruction of a cut interior failed")
-        if rebuilt_cut != cut.cut:
-            raise RuntimeError("cell reconstruction of a min-cut failed")
-    return TritPartition(
+    masks: dict[Trits, int] = {}
+    for i, loop in enumerate(model.loops):
+        trits = tuple(1 if interior >> i & 1 else 0 if cut >> i & 1 else -1 for cut, interior in sides)
+        loop_trits[loop] = trits
+        masks[trits] = masks.get(trits, 0) | 1 << i
+    partition = TritPartition(
         length=len(ineq.lhs),
-        cells=frozen_cells,
+        cells={trits: _names_of(model, mask) for trits, mask in masks.items()},
         loop_trits=loop_trits,
         cuts=cuts,
     )
+    object.__setattr__(partition, "_cell_masks", masks)
+    return partition
 
 
 @dataclass(frozen=True)
@@ -240,27 +232,28 @@ def _rhs_cut_split(
     partition: TritPartition,
     term_name: str,
 ):
-    """Cut induced for one RHS term by its zero cells, and the sign of every other cell.
+    """Mask of the cut induced for one RHS term by its zero cells, and the sign of every other cell.
 
     In `partition.cells` order: +1 inside the induced interior, -1 in the
-    exterior, None for a cell that straddles both.
+    exterior (other cells miss the cut), None for a cell that straddles both.
     """
-    cut_loops = frozenset().union(*(partition.cells[c] for c in zero_cells))
+    masks = partition._cell_masks
+    if masks is None:  # a partition built by hand or by `dataclasses.replace`
+        masks = {cell: _mask_of(model, members) for cell, members in partition.cells.items()}
+    cut = 0
+    for cell in zero_cells:
+        cut |= masks[cell]
     try:
-        valid = is_valid_loop_cut(model, subsystem, cut_loops)
+        inside, outside = _subsystem_externals(model, subsystem)
+        _check_cut(model, cut)
     except ValueError as exc:
         raise InconsistentAssignment(f"cut for {term_name} is unusable: {exc}") from exc
-    if not valid:
+    interior = _interior(model, inside, cut)
+    if interior & outside:
         raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
-    inside = frozenset(model.external[i] for i in subsystem)
-    interior, exterior = _cut_sides(model, subsystem, cut_loops)
-    if interior & model.external_loops != inside:
-        raise InconsistentAssignment(
-            f"interior externals for {term_name} differ from the term's parties"
-        )
-    return cut_loops, {
-        cell: 1 if members <= interior else -1 if members <= exterior else None
-        for cell, members in partition.cells.items()
+    return cut, {
+        cell: 1 if not mask & ~interior else -1 if not mask & interior else None
+        for cell, mask in masks.items()
         if cell not in zero_cells
     }
 
@@ -358,12 +351,12 @@ def check_cut_contraction_certificate(
         raise CertificateError("map dimensions do not match the inequality")
 
     # check 1: zeros induce valid cuts and the signs match their interior/exterior
-    rhs_cuts: list[frozenset[str]] = []
+    rhs_cuts: list[int] = []
     for r, subsystem in enumerate(ineq.rhs_subsystems):
         term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
         zero_cells = {cell for cell in partition.cells if cmap.images[cell][r] == 0}
         try:
-            cut_loops, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
+            cut, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
         except InconsistentAssignment as exc:
             return CertificateCheck(ok=False, reason=str(exc))
         for cell, expected in signs.items():
@@ -381,7 +374,7 @@ def check_cut_contraction_certificate(
                         f"but lies in the {'interior' if expected == 1 else 'exterior'}"
                     ),
                 )
-        rhs_cuts.append(cut_loops)
+        rhs_cuts.append(cut)
 
     # check 2: per-tuple domination over the indicator support
     table = _credit_bridges(model, ineq, partition)
@@ -415,7 +408,7 @@ def check_cut_contraction_certificate(
     rhs_cut_total = Fraction(0)
     rhs_entropy_total = Fraction(0)
     for r, (subsystem, beta) in enumerate(ineq.rhs):
-        cut_weight = sum((Fraction(model.weights[x]) for x in rhs_cuts[r]), Fraction(0))
+        cut_weight = sum((model.weights[model.loops[i]] for i in _indices(rhs_cuts[r])), Fraction(0))
         entropy = model.entropy(subsystem)
         if cut_weight < entropy:
             raise RuntimeError("a valid cut can never undercut the min-cut")

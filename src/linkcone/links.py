@@ -21,8 +21,10 @@ is unsupported; a race at first use only computes an entry twice.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
-connectivity question goes through `_blocks`; frozensets of loop names
-appear only in public arguments and return values.  Irreducible sublinks
+connectivity question goes through `_blocks`, every cut side through
+`_interior`.  The min-cut search, bridges and certificate checks keep
+these masks; frozensets of loop names appear only in public arguments
+and return values.  Irreducible sublinks
 of an atom structure are grown as chained unions of atoms, so bridges
 never need a scan over every loop subset.
 
@@ -98,38 +100,40 @@ class ConnectivityTable:
             raise ValueError(f"connectivity table has no entry for subset {sorted(subset)}") from None
 
 
-def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable) -> None:
-    """Check coverage, partition validity, and deletion-monotonicity.
+def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable) -> dict[int, list[int]]:
+    """Check coverage, partition validity, and deletion-monotonicity; return the table on loop masks.
 
-    Single-loop deletions suffice for monotonicity: refinement is
-    transitive, so any chain of deletions inherits it.
+    Subsets are visited by size, each after all its single-loop deletions,
+    which are tried in declaration order.  They suffice for monotonicity:
+    refinement is transitive, so any chain of deletions inherits it.
     """
-    universe = frozenset(loops)
-    if len(universe) > 14:
+    if len(loops) > 14:
         raise ValueError("connectivity tables are supported for at most 14 loops")
-    subsets = [frozenset(c) for size in range(len(loops) + 1) for c in combinations(loops, size)]
-    for subset in subsets:
-        blocks = table.blocks(subset)
-        union: set[str] = set()
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block in connectivity table")
-            if block & union:
-                raise ValueError(f"overlapping blocks for subset {sorted(subset)}")
-            union |= block
-        if union != set(subset):
-            raise ValueError(f"blocks for subset {sorted(subset)} do not partition it")
-    for subset in subsets:
-        big = table.blocks(subset)
-        for loop in subset:
-            smaller = frozenset(subset - {loop})
-            restriction = {x: next(b for b in big if x in b) for x in smaller}
-            for block in table.blocks(smaller):
-                anchors = {restriction[x] for x in block}
-                if len(anchors) != 1:
+    index = {name: i for i, name in enumerate(loops)}
+    masks: dict[int, list[int]] = {}
+    for size in range(len(loops) + 1):
+        for combo in combinations(range(len(loops)), size):
+            subset = frozenset(loops[i] for i in combo)
+            named = table.blocks(subset)
+            union: set[str] = set()
+            for block in named:
+                if not block:
+                    raise ValueError("empty block in connectivity table")
+                if block & union:
+                    raise ValueError(f"overlapping blocks for subset {sorted(subset)}")
+                union |= block
+            if union != subset:
+                raise ValueError(f"blocks for subset {sorted(subset)} do not partition it")
+            mask = sum(1 << i for i in combo)
+            # blocks ordered by lowest loop, as `_blocks` returns them
+            big = masks[mask] = sorted((sum(1 << index[x] for x in b) for b in named), key=lambda b: b & -b)
+            for i in combo:
+                # every block left by the deletion must lie inside one block of the subset
+                if any(all(small & ~b for b in big) for small in masks[mask & ~(1 << i)]):
                     raise MonotonicityError(
-                        f"deleting {loop!r} from {sorted(subset)} links previously unlinked loops"
+                        f"deleting {loops[i]!r} from {sorted(subset)} links previously unlinked loops"
                     )
+    return masks
 
 
 @dataclass(eq=False)
@@ -184,17 +188,10 @@ class LinkModel:
             # loops in no atom never affect connectivity, so no cut needs them
             linked = _mask_of(self, set().union(*self.structure.atoms))
         else:
-            validate_connectivity_table(self.loops, self.structure)
-            self._cache["table"] = {
-                _mask_of(self, combo): sorted(
-                    (_mask_of(self, b) for b in self.structure.blocks(frozenset(combo))),
-                    key=lambda b: b & -b,
-                )
-                for size in range(len(self.loops) + 1)
-                for combo in combinations(self.loops, size)
-            }
+            self._cache["table"] = validate_connectivity_table(self.loops, self.structure)
             linked = (1 << len(self.loops)) - 1
         cuttable = _mask_of(self, [x for x in self.loops if x not in externals and self.is_finite(x)])
+        self._cache["cuttable"] = cuttable
         self._cache["candidates"] = cuttable & linked
 
     @property
@@ -320,32 +317,32 @@ def _subsystem_externals(model: LinkModel, subsystem: Subsystem) -> tuple[int, i
     return inside, _mask_of(model, model.external.values()) & ~inside
 
 
-def _separates(model: LinkModel, inside: int, outside: int, cut: int) -> bool:
-    """True when no block left after removing `cut` meets both `inside` and `outside`."""
-    rest = ((1 << len(model.loops)) - 1) & ~cut
-    return not any(b & inside and b & outside for b in _blocks(model, rest))
+def _interior(model: LinkModel, inside: int, cut: int) -> int:
+    """Union of the blocks left after removing the loops `cut` that meet the loops `inside`.
 
-
-def _cut_sides(model: LinkModel, subsystem: Subsystem, cut) -> tuple[frozenset[str], frozenset[str]]:
-    """Interior and exterior left by removing the loops `cut`.
-
-    The interior collects every block that meets the subsystem's external
-    loops; the exterior is the rest.
+    The cut separates `inside` from any set of loops the interior misses;
+    the loops neither cut nor interior form the exterior.
     """
-    inside, _ = _subsystem_externals(model, subsystem)
-    rest = ((1 << len(model.loops)) - 1) & ~_mask_of(model, cut)
-    interior = sum(b for b in _blocks(model, rest) if b & inside)  # disjoint blocks: sum is union
-    return _names_of(model, interior), _names_of(model, rest & ~interior)
+    interior = 0
+    for block in _blocks(model, ((1 << len(model.loops)) - 1) & ~cut):
+        if block & inside:
+            interior |= block
+    return interior
+
+
+def _check_cut(model: LinkModel, cut: int) -> None:
+    """Raise ValueError when the loop mask `cut` holds an external or infinite-weight loop."""
+    bad = cut & ~model._cache["cuttable"]
+    if bad:
+        raise ValueError(f"cut contains external or infinite-weight loops: {sorted(_names_of(model, bad))}")
 
 
 def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
     """True when removing `cut` leaves the subsystem unlinked from all other externals."""
-    cut = frozenset(cut)
     inside, outside = _subsystem_externals(model, subsystem)
-    bad = [name for name in cut if name in model.external_loops or not model.is_finite(name)]
-    if bad:
-        raise ValueError(f"cut contains external or infinite-weight loops: {sorted(bad)}")
-    return _separates(model, inside, outside, _mask_of(model, cut))
+    cut = _mask_of(model, frozenset(cut))
+    _check_cut(model, cut)
+    return not _interior(model, inside, cut) & outside
 
 
 def _chain(model: LinkModel, inside: int, outside: int, cut: int) -> int:
@@ -414,7 +411,7 @@ def _search_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fracti
         nonlocal best
         allowed = candidates & ~cut & ~banned
         if table:
-            valid, witness = _separates(model, inside, outside, cut), allowed
+            valid, witness = not _interior(model, inside, cut) & outside, allowed
         else:
             witness = _chain(model, inside, outside, cut)
             valid, witness = not witness, witness & allowed
@@ -490,7 +487,7 @@ def _flow_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction
         weight += cut_network.cap[2 * i]
         for e in cut_network.slots[i]:
             network.cap[e] = cut_network.big
-        if weight >= total and _separates(model, inside, outside, chosen):
+        if weight >= total and not _interior(model, inside, chosen) & outside:
             break
     else:
         raise RuntimeError("the flow tie-break ran out of loops before separating")
@@ -518,32 +515,36 @@ def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
     tables use `_search_min_cut`, which branches on the loops of a witness
     every valid cut must meet; it is exponential in the worst case.
     """
-    subsystem = frozenset(subsystem)
+    return _min_cut(model, frozenset(subsystem))[0]
+
+
+def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[LoopCutResult, int, int, int]:
+    """`link_min_cut` with the masks of its cut, interior and exterior, cached per subsystem."""
     cached = model._cache.get(("mincut", subsystem))
     if cached is not None:
         return cached
     inside, outside = _subsystem_externals(model, subsystem)
-    if _separates(model, inside, outside, 0):
-        weight, cut_mask = Fraction(0), 0
-    elif not _separates(model, inside, outside, model._cache["candidates"]):
+    interior = _interior(model, inside, 0)
+    if not interior & outside:
+        weight, cut = Fraction(0), 0
+    elif _interior(model, inside, model._cache["candidates"]) & outside:
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )
-    elif _pair_network(model) is None:
-        weight, cut_mask = _search_min_cut(model, inside, outside)
     else:
-        weight, cut_mask = _flow_min_cut(model, inside, outside)
-    cut = _names_of(model, cut_mask)
-    interior, exterior = _cut_sides(model, subsystem, cut)
+        search = _search_min_cut if _pair_network(model) is None else _flow_min_cut
+        weight, cut = search(model, inside, outside)
+        interior = _interior(model, inside, cut)
+    exterior = ((1 << len(model.loops)) - 1) & ~cut & ~interior
     result = LoopCutResult(
-        cut=cut,
+        cut=_names_of(model, cut),
         weight=weight,
-        interior=interior,
-        exterior=exterior,
+        interior=_names_of(model, interior),
+        exterior=_names_of(model, exterior),
         tie_break="minimum weight, then lexicographically smallest sorted loop-index list",
     )
-    model._cache[("mincut", subsystem)] = result
-    return result
+    cached = model._cache[("mincut", subsystem)] = (result, cut, interior, exterior)
+    return cached
 
 
 link_entropy = LinkModel.entropy
@@ -613,8 +614,7 @@ def minimal_bridges(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[s
     cached = model._cache.get(("bridges", subsystem))
     if cached is not None:
         return cached
-    cut = link_min_cut(model, subsystem)
-    interior, exterior, removed = (_mask_of(model, x) for x in (cut.interior, cut.exterior, cut.cut))
+    _, removed, interior, exterior = _min_cut(model, subsystem)
     minimal: list[int] = []
     # the family runs by size, so every crossing proper subset of a bridge
     # comes first and is either minimal or contains a minimal one

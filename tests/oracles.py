@@ -11,9 +11,9 @@ tuples instead of the library's integer-scaled weight tables over
 bitmasks.  The link-model generator and the certificate check are kept
 as the library had them before their speed-ups, as references that
 generated models and check reports must match; the certificate check and
-the derivation of a map from its zero cells keep their own copy of the
-RHS cut split, which classifies every cell against the interior and
-exterior.  So is the link min-cut's subset search, on its own copy of
+the derivation of a map from its zero cells keep their own copies of the
+trit partition and the bridge crediting on loop names, and of the RHS cut
+split, which classifies every cell against the interior and exterior.  So is the link min-cut's subset search, on its own copy of
 the block growth and cut sides the library had then: the pair-atom
 max-flow and the witness branching must match it cut for cut, and a
 change to the library's connectivity kernel leaves it as it is.
@@ -30,11 +30,11 @@ from linkcone.certificates import (
     CertificateCheck,
     CertificateError,
     InconsistentAssignment,
+    IndicatorEntry,
+    OracularIndicatorTable,
     TritContractionMap,
     TritPartition,
     Trits,
-    _credit_bridges,
-    build_trit_partition,
 )
 from linkcone.contraction import BUDGET_EXCEEDED, FOUND, NOT_FOUND, ContractionReport, SearchResult
 from linkcone.core import (
@@ -53,10 +53,12 @@ from linkcone.links import (
     AtomicLinkages,
     LinkModel,
     LoopCutResult,
+    StratificationError,
     UncuttableSubsystemError,
     _subsystem_externals,
-    is_valid_loop_cut,
     link_entropy,
+    link_min_cut,
+    minimal_bridges,
 )
 
 
@@ -424,6 +426,68 @@ def reference_generate_link_model(
     )
 
 
+def reference_build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartition:
+    """`build_trit_partition` on loop names: trits by membership in each cut's name sets."""
+    if ineq.n != model.n:
+        raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
+    cuts = tuple(link_min_cut(model, sub) for sub in ineq.lhs_subsystems)
+    loop_trits: dict[str, Trits] = {}
+    for loop in model.loops:
+        loop_trits[loop] = tuple(1 if loop in cut.interior else 0 if loop in cut.cut else -1 for cut in cuts)
+    cells: dict[Trits, set[str]] = {}
+    for loop, trits in loop_trits.items():
+        cells.setdefault(trits, set()).add(loop)
+    return TritPartition(
+        length=len(ineq.lhs),
+        cells={trits: frozenset(members) for trits, members in cells.items()},
+        loop_trits=loop_trits,
+        cuts=cuts,
+    )
+
+
+def reference_credit_bridges(
+    model: LinkModel, ineq: LinearInequality, partition: TritPartition
+) -> OracularIndicatorTable:
+    """The crediting scan of `compute_oracular_indicator`, on loop names."""
+    entries: list[IndicatorEntry] = []
+    coloring: dict[int, dict[str, str]] = {}
+    for l, subsystem in enumerate(ineq.lhs_subsystems):
+        cut = partition.cuts[l]
+        gray = set(cut.cut)
+        colors = {loop: "gray" for loop in cut.cut}
+        scheduled = []
+        for bridge in minimal_bridges(model, subsystem):
+            hit = bridge & cut.cut
+            if len(hit) != 1:
+                raise StratificationError(
+                    f"minimal bridge {sorted(bridge)} meets the min-cut of "
+                    f"{subsystem_label(subsystem)} in {len(hit)} loops"
+                )
+            loop = next(iter(hit))
+            head = partition.loop_trits[loop]
+            cells = (head, *sorted({partition.loop_trits[x] for x in bridge} - {head}))
+            order_key = (len(bridge), len(cells), cells, tuple(sorted(model.loop_index(x) for x in bridge)))
+            scheduled.append((order_key, bridge, loop, cells))
+        credited_weight = Fraction(0)
+        for _, bridge, loop, cells in sorted(scheduled):
+            if loop not in gray:
+                continue
+            gray.remove(loop)
+            colors[loop] = "green"
+            credited_weight += Fraction(model.weights[loop])
+            entries.append(IndicatorEntry(l, len(cells), len(bridge), cells, loop, bridge))
+        if gray:
+            raise StratificationError(
+                f"min-cut loops {sorted(gray)} of {subsystem_label(subsystem)} "
+                "were never credited by any minimal bridge"
+            )
+        if credited_weight != cut.weight:
+            raise RuntimeError("credited loop weights must add up to the cut weight")
+        coloring[l] = colors
+    support = frozenset((e.term_index, e.cover_size, e.bridge_size, e.cells) for e in entries)
+    return OracularIndicatorTable(entries=tuple(entries), support=support, coloring=coloring, partition=partition)
+
+
 def _rhs_cut_split(
     model: LinkModel,
     subsystem: Subsystem,
@@ -433,14 +497,15 @@ def _rhs_cut_split(
 ):
     """Cut, interior and exterior induced for one RHS term by its zero cells."""
     cut_loops = frozenset().union(*(partition.cells[c] for c in zero_cells)) if zero_cells else frozenset()
-    try:
-        valid = is_valid_loop_cut(model, subsystem, cut_loops)
-    except ValueError as exc:
-        raise InconsistentAssignment(f"cut for {term_name} is unusable: {exc}") from exc
-    if not valid:
-        raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
+    bad = [name for name in cut_loops if name in model.external_loops or not model.is_finite(name)]
+    if bad:
+        raise InconsistentAssignment(
+            f"cut for {term_name} is unusable: cut contains external or infinite-weight loops: {sorted(bad)}"
+        )
     inside = frozenset(model.external[i] for i in subsystem)
     interior, exterior = reference_cut_sides(model, subsystem, cut_loops)
+    if interior & (model.external_loops - inside):
+        raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
     if interior & model.external_loops != inside:
         raise InconsistentAssignment(
             f"interior externals for {term_name} differ from the term's parties"
@@ -456,7 +521,7 @@ def reference_derive_rhs_assignment(
 ) -> TritContractionMap:
     """`derive_rhs_assignment` as it was, classifying every cell against the interior and exterior."""
     if partition is None:
-        partition = build_trit_partition(model, ineq)
+        partition = reference_build_trit_partition(model, ineq)
     zeros = {tuple(cell): frozenset(rs) for cell, rs in zeros.items()}
     for cell, rs in zeros.items():
         if cell not in partition.cells:
@@ -494,7 +559,7 @@ def reference_check_cut_contraction_certificate(
     sample_seed: int = 0,
 ) -> CertificateCheck:
     """`check_cut_contraction_certificate` summing both sides afresh for every tuple."""
-    partition = build_trit_partition(model, ineq)
+    partition = reference_build_trit_partition(model, ineq)
     undefined = [cell for cell in partition.cells if cell not in cmap.images]
     if undefined:
         raise CertificateError(f"map undefined on nonempty cells: {sorted(undefined)}")
@@ -534,7 +599,7 @@ def reference_check_cut_contraction_certificate(
                 )
         rhs_cuts.append(cut_loops)
 
-    table = _credit_bridges(model, ineq, partition)
+    table = reference_credit_bridges(model, ineq, partition)
     alphas = ineq.lhs_coeffs
     betas = ineq.rhs_coeffs
     by_tuple: dict[tuple, set[int]] = {}

@@ -28,7 +28,12 @@ from linkcone.links import (
     ray15_link,
 )
 
-from oracles import reference_check_cut_contraction_certificate, reference_derive_rhs_assignment
+from oracles import (
+    reference_build_trit_partition,
+    reference_check_cut_contraction_certificate,
+    reference_credit_bridges,
+    reference_derive_rhs_assignment,
+)
 
 SA2 = parse_inequality("S(A) + S(B) >= S(AB)", 2)
 
@@ -170,6 +175,8 @@ class TestDeriveAssignment:
         hub_cell = part.loop_trits["w2"]
         cmap = derive_rhs_assignment(m, ineq, {hub_cell: {0}}, part)
         assert cmap.images[hub_cell] == (0,)
+        assert derive_rhs_assignment(m, ineq, {hub_cell: {0}}) == cmap  # builds its own partition
+        assert derive_rhs_assignment(m, ineq, {hub_cell: {0}}, dataclasses.replace(part)) == cmap
         ac_cut = link_min_cut(m, frozenset({1, 3}))
         plus = frozenset().union(*(c for t, c in part.cells.items() if cmap.images[t] == (1,)))
         minus = frozenset().union(*(c for t, c in part.cells.items() if cmap.images[t] == (-1,)))
@@ -253,6 +260,12 @@ class TestCertificateCheck:
         broken = TritContractionMap(images=images, length=2, width=1)
         with pytest.raises(CertificateError):
             check_cut_contraction_certificate(m, SA2, broken)
+
+    def test_wrong_width_raises(self):
+        m = generate_bridge_regular_link_model(2, loops=6, atoms=3, max_arity=3, seed=5)
+        images = {cell: img * 2 for cell, img in _sa_certificate(m).images.items()}
+        with pytest.raises(CertificateError, match="^map dimensions do not match the inequality$"):
+            check_cut_contraction_certificate(m, SA2, TritContractionMap(images=images, length=2, width=2))
 
     def test_passing_certificate_bounds_rhs_entropy(self):
         m = ray15_link()
@@ -383,6 +396,9 @@ class TestCheckMatchesReference:
             for text in self.INEQS[parties]:
                 ineq = parse_inequality(text, parties)
                 part = build_trit_partition(m, ineq)
+                reference = reference_build_trit_partition(m, ineq)
+                assert (part, list(part.cells)) == (reference, list(reference.cells))
+                assert compute_oracular_indicator(m, ineq) == reference_credit_bridges(m, ineq, reference)
                 empty = next(c for c in product((-1, 0, 1), repeat=part.length) if c not in part.cells)
                 zero_sets = self._zero_sets(part, ineq, rng) + [{empty: {0}}, {min(part.cells): {len(ineq.rhs)}}]
                 for zeros in zero_sets:

@@ -1,11 +1,16 @@
 """Link model: connectivity, loop cuts, bridges, stratification, conversion."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import linkcone
 from linkcone.core import all_subsystems, evaluate_inequality, parse_inequality, party_letter
 from linkcone.generate import (
     generate_bridge_regular_link_model,
@@ -21,8 +26,10 @@ from linkcone.links import (
     MonotonicityError,
     UncuttableSubsystemError,
     _blocks,
-    _cut_sides,
+    _interior,
     _irreducible_family,
+    _names_of,
+    _subsystem_externals,
     bridge_oracle,
     connected_sublinks,
     has_single_crossing_bridges,
@@ -208,6 +215,66 @@ class TestConnectivityTable:
         with pytest.raises(MonotonicityError):
             validate_connectivity_table(("a", "b", "c"), self._table(blocks))
 
+    @staticmethod
+    def _singletons(**blocks):
+        """Table on loops a, b, c, d where every subset falls apart, except the subsets named in `blocks`."""
+        table = {frozenset(c): tuple(frozenset({x}) for x in c) for k in range(5) for c in itertools.combinations("abcd", k)}
+        for key, value in blocks.items():
+            if value is None:
+                del table[frozenset(key)]
+            else:
+                table[frozenset(key)] = tuple(frozenset(b) for b in value)
+        return ConnectivityTable(table)
+
+    # {a,b} is linked in {a,b}, {a,b,c} and {a,b,d} but not in {a,b,c,d}: deleting c or d
+    # links it, and the error names the first loop in declaration order
+    _UNMONOTONE = {"ab": ["ab"], "abc": ["ab", "c"], "abd": ["ab", "d"]}
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda t: LinkModel(tuple("abcd"), dict.fromkeys("abcd", 1), {1: "a", 2: "b"}, t._singletons(ac=None)),
+             ValueError, "connectivity table has no entry for subset ['a', 'c']"),
+            (lambda t: validate_connectivity_table(tuple("abcdefghijklmno"), ConnectivityTable({})),
+             ValueError, "connectivity tables are supported for at most 14 loops"),
+            (lambda t: validate_connectivity_table(tuple("abcd"), t._singletons(ac=["a", "c", ""])),
+             ValueError, "empty block in connectivity table"),
+            (lambda t: validate_connectivity_table(tuple("abcd"), t._singletons(ac=["ac", "a"])),
+             ValueError, "overlapping blocks for subset ['a', 'c']"),
+            (lambda t: validate_connectivity_table(tuple("abcd"), t._singletons(ac=["a"])),
+             ValueError, "blocks for subset ['a', 'c'] do not partition it"),
+            (lambda t: validate_connectivity_table(tuple("abcd"), t._singletons(**t._UNMONOTONE)),
+             MonotonicityError, "deleting 'c' from ['a', 'b', 'c', 'd'] links previously unlinked loops"),
+            (lambda t: AtomicLinkages((frozenset({"a"}),)), ValueError, "atoms must contain at least two loops"),
+        ],
+    )
+    def test_invalid_structure_messages(self, build, error, message):
+        with pytest.raises(error) as raised:
+            build(self)
+        assert str(raised.value) == message
+
+    def test_monotonicity_error_ignores_hash_seed(self):
+        script = (
+            "import itertools\n"
+            "from linkcone.links import ConnectivityTable, validate_connectivity_table\n"
+            "fs = frozenset\n"
+            "table = {fs(c): tuple(fs(x) for x in c) for k in range(5) for c in itertools.combinations('abcd', k)}\n"
+            "for key, blocks in %r.items():\n"
+            "    table[fs(key)] = tuple(fs(b) for b in blocks)\n"
+            "try:\n"
+            "    validate_connectivity_table(tuple('abcd'), ConnectivityTable(table))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        ) % self._UNMONOTONE
+        src = str(Path(linkcone.__file__).parent.parent)
+        messages = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {"deleting 'c' from ['a', 'b', 'c', 'd'] links previously unlinked loops\n"}
+
 
 class TestTableMatchesAtoms:
     """A table spelling out an atom structure's blocks must behave exactly like the atoms."""
@@ -268,6 +335,10 @@ class TestLoopCuts:
     def test_cut_with_external_rejected(self):
         with pytest.raises(ValueError):
             is_valid_loop_cut(ray15_link(), frozenset({1}), {"A"})
+
+    def test_cut_with_unknown_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown loops \['zz'\]$"):
+            is_valid_loop_cut(ray15_link(), frozenset({1}), {"zz", "u1"})
 
     def test_cut_with_infinite_loop_rejected(self):
         h = Hypergraph(("a", "o"), {1: "a", 2: "o"}, ((frozenset({"a", "o"}), Fraction(1)),))
@@ -529,8 +600,13 @@ class TestWitnessSearch:
                 continue
             outcomes.add(("zero" if expected.weight == 0 else "positive", min(len(expected.cut), 2)))
             cuts = [expected.cut, frozenset(rng.sample(m.internal_loops, rng.randint(0, len(m.internal_loops))))]
+            inside, _ = _subsystem_externals(m, sub)
             for cut in cuts:
-                assert _cut_sides(m, sub, cut) == reference_cut_sides(m, sub, cut), (sub, cut)
+                mask = sum(1 << m.loop_index(x) for x in cut)
+                interior = _interior(m, inside, mask)
+                exterior = ((1 << len(m.loops)) - 1) & ~mask & ~interior
+                sides = (_names_of(m, interior), _names_of(m, exterior))
+                assert sides == reference_cut_sides(m, sub, cut), (sub, cut)
             if bridges:
                 assert list(minimal_bridges(m, sub)) == bruteforce_minimal_bridges(m, family, expected), sub
         return outcomes

@@ -206,6 +206,47 @@ class TestCli:
         assert code == 1
         assert report["ok"] is False and report["reason"]
 
+    def test_check_ineq_certificate_violation_reported(self, tmp_path, capsys):
+        # strong subadditivity on ray15, with both RHS cuts made of the two LHS cut cells: the
+        # cell tuple that credits the first term's cut loop recycles it into both RHS terms
+        ineq = write(tmp_path, "ssa.txt", "S(AB) + S(BC) >= S(B) + S(ABC)")
+        images = {"1,-1": "-1,1", "1,1": "1,1", "-1,1": "-1,1", "-1,-1": "-1,-1", "-1,0": "0,0", "0,-1": "0,0"}
+        map_path = write(tmp_path, "map.json", images)
+        code = main(["check-ineq", "--builtin", "ray15", "--ineq", ineq, "--method", "certificate", "--map", map_path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        del report["digest"]
+        assert report == {
+            "command": "check-ineq",
+            "diagnostics": {"lhs": 1, "rhs": 2},
+            "method": "certificate",
+            "ok": False,
+            "reason": "contraction condition violated on a covering tuple",
+            "violation": {"bridge_size": 3, "cells": ["0,-1", "-1,0", "1,-1"], "cover_size": 3},
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["entropy-vector", "--bogus"], "unrecognized arguments: --bogus"),
+            (["entropy", "--builtin", "nope", "--subsystem", "A"], "unknown builtin 'nope'"),
+            (["generate", "--builtin", "nope"], "unknown builtin 'nope'"),
+            (["entropy-vector"], "one of --model or --builtin is required"),
+            (["generate", "--loops", "5", "--atoms", "2", "--max-arity", "2", "--seed", "0"],
+             "--parties is required without --builtin"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+    def test_convert_on_link_model_is_semantic_error(self, capsys):
+        assert main(["convert", "--builtin", "ray15"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: convert expects a hypergraph model file\n")
+
     def test_certificate_without_map_is_usage_error(self, tmp_path, capsys):
         model = self._ray15_file(tmp_path)
         ineq = write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)")
@@ -330,6 +371,7 @@ class TestCli:
             ["--mode", "hypergraph:x"],
             ["--parties", "0"],
             ["--parties", "-2"],
+            ["--mode", "foo"],
         ],
     )
     def test_find_contraction_bad_option_is_usage_error(self, tmp_path, capsys, options):

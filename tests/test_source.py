@@ -1,20 +1,35 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import linkcone
+
+SOURCES = sorted(Path(linkcone.__file__).parent.glob("*.py"))
+
+
+def _nodes():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
 
 
 def test_library_raises_invariants_instead_of_asserting():
     # `python -O` strips assert statements, so an invariant the library
     # relies on must be raised as an exception (for example RuntimeError)
-    sources = sorted(Path(linkcone.__file__).parent.glob("*.py"))
-    assert len(sources) >= 10
-    asserts = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    assert len(SOURCES) >= 10
+    asserts = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_library_imports_only_the_standard_library():
+    # zero runtime dependencies: every import is relative or names a stdlib module
+    imported = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert "fractions" in imported
+    assert imported - sys.stdlib_module_names == set()
