@@ -15,9 +15,10 @@ is declared combinatorially through one of two structures:
 * `ConnectivityTable` spells out the sublink partition of every subset.
   Tables must be deletion-monotone: removing loops never creates linking.
 
-Models are immutable after construction: min-cut results and the cut
-network are cached per model, so mutating a model after its first query
-is unsupported; a race at first use only computes an entry twice.
+Models are immutable after construction: min-cut results, the cut
+network and the name set of every loop mask returned are cached per
+model, so mutating a model after its first query is unsupported; a race
+at first use only computes an entry twice.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
@@ -174,7 +175,7 @@ class LinkModel:
                 raise ValueError(f"negative weight on loop {loop!r}")
             self.weights[loop] = w
         self._cache["index"] = {name: i for i, name in enumerate(self.loops)}
-        self._cache["singletons"] = [frozenset((name,)) for name in self.loops]
+        self._cache["names"] = {}  # the name set of every loop mask converted so far
         self._cache["externals"] = externals
         if isinstance(self.structure, AtomicLinkages):
             for atom in self.structure.atoms:
@@ -235,26 +236,24 @@ class LoopCutResult:
 
 
 def _mask_of(model: LinkModel, names) -> int:
+    """Mask of the loops `names`, any iterable; repeats are harmless."""
     index = model._cache["index"]
     mask = 0
     try:
         for name in names:
             mask |= 1 << index[name]
-    except KeyError:
-        raise ValueError(f"unknown loops {sorted(set(names) - set(index))}") from None
+    except KeyError as exc:
+        # the failing name and the rest: right also when `names` is an iterator
+        raise ValueError(f"unknown loops {sorted({exc.args[0], *names} - set(index))}") from None
     return mask
 
 
 def _names_of(model: LinkModel, mask: int) -> frozenset[str]:
-    if not mask & (mask - 1):
-        return model._cache["singletons"][mask.bit_length() - 1] if mask else frozenset()
-    loops = model.loops
-    names = []
-    while mask:
-        low = mask & -mask
-        names.append(loops[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(names)
+    """Name set of a loop mask, built once per model and mask."""
+    names = model._cache["names"]
+    if mask not in names:
+        names[mask] = frozenset(model.loops[i] for i in _indices(mask))
+    return names[mask]
 
 
 def _indices(mask: int) -> list[int]:
@@ -287,23 +286,23 @@ def _blocks(model: LinkModel, present: int) -> list[int]:
         apart.append(atom)
         groups = apart
     lows = present  # the lowest loop of every block
+    by_low = {}
     for group in groups:
-        lows &= ~group | group & -group
+        low = group & -group
+        lows &= ~group | low
+        by_low[low] = group
     blocks = []
     while lows:
         low = lows & -lows
-        blocks.append(low)
+        blocks.append(by_low.get(low, low))
         lows ^= low
-    if groups:
-        by_low = {group & -group: group for group in groups}
-        blocks = [by_low.get(low, low) for low in blocks]
     return blocks
 
 
 def connected_sublinks(model: LinkModel, subset) -> list[frozenset[str]]:
     """Partition of `subset` into connected sublinks; singletons are their own blocks."""
-    mask = _mask_of(model, frozenset(subset))
-    return [_names_of(model, b) for b in _blocks(model, mask)]
+    names = model._cache["names"]
+    return [names.get(b) or _names_of(model, b) for b in _blocks(model, _mask_of(model, subset))]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ def _check_cut(model: LinkModel, cut: int) -> None:
 def is_valid_loop_cut(model: LinkModel, subsystem: Subsystem, cut) -> bool:
     """True when removing `cut` leaves the subsystem unlinked from all other externals."""
     inside, outside = _subsystem_externals(model, subsystem)
-    cut = _mask_of(model, frozenset(cut))
+    cut = _mask_of(model, cut)
     _check_cut(model, cut)
     return not _interior(model, inside, cut) & outside
 

@@ -91,6 +91,25 @@ class TestConnectedSublinks:
         with pytest.raises(ValueError):
             connected_sublinks(hopf_chain(), {"nope"})
 
+    @pytest.mark.parametrize("make", [set, list, iter], ids=["set", "list", "iterator"])
+    def test_any_iterable_of_names(self, make):
+        # repeats are harmless, and every unknown name is reported, also from a one-shot iterator
+        m = hopf_chain()
+        assert connected_sublinks(m, make(["a", "m", "a", "o"])) == [frozenset({"a", "m", "o"})]
+        assert connected_sublinks(m, make(["o", "a"])) == [frozenset({"a"}), frozenset({"o"})]
+        with pytest.raises(ValueError, match=r"^unknown loops \['nope', 'zz'\]$"):
+            connected_sublinks(m, make(["a", "zz", "m", "nope", "zz"]))
+        assert is_valid_loop_cut(m, frozenset({1}), make(["m", "m"]))
+        with pytest.raises(ValueError, match=r"^unknown loops \['zz'\]$"):
+            is_valid_loop_cut(m, frozenset({1}), make(["m", "zz"]))
+
+    def test_name_sets_are_shared_per_model(self):
+        # a block's name set is built once per model; repeated queries return the same object
+        m = hopf_chain()
+        first = connected_sublinks(m, {"a", "m", "o"})[0]
+        assert connected_sublinks(m, ["o", "m", "a"])[0] is first
+        assert link_min_cut(m, frozenset({1})).cut is connected_sublinks(m, {"m"})[0]
+
     @pytest.mark.parametrize("seed", range(16))
     def test_blocks_match_bfs_on_every_subset(self, seed):
         # atoms of 2-5 loops that overlap, plus atoms nested inside others
