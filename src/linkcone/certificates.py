@@ -10,6 +10,12 @@ inequality that has to hold tuple by tuple.  Inside, an RHS cut is the
 OR of its zero cells' loop masks, and one `links._interior` call gives
 its validity and every other cell's sign.
 
+The partition and the indicator table depend only on the model and the
+inequality's LHS, so each is built once per model and LHS and cached on
+the model, with the support grouped for the per-tuple check.  A check
+then does only the work that depends on its map.  The partitions and
+tables returned are shared between calls and must not be mutated.
+
 All checks are instance-level: the indicator table depends on the chosen
 min-cuts of one specific model, so a passing certificate establishes the
 inequality on that model, not on the whole model class.
@@ -67,9 +73,20 @@ def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartit
 
     Trits are read off the loop masks of each min-cut and its interior, so
     the +1 cells of a term make up its interior and the 0 cells its cut.
+    The partition is built once per model and LHS and then shared by every
+    later call, so callers must not mutate it.
     """
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
+    key = ("partition", ineq.lhs)
+    partition = model._cache.get(key)
+    if partition is None:
+        partition = model._cache[key] = _build_partition(model, ineq)
+    return partition
+
+
+def _build_partition(model: LinkModel, ineq: LinearInequality) -> TritPartition:
+    """The uncached body of `build_trit_partition`."""
     cuts = tuple(link_min_cut(model, sub) for sub in ineq.lhs_subsystems)
     sides = [_min_cut(model, sub)[1:3] for sub in ineq.lhs_subsystems]  # (cut, interior) masks
     loop_trits: dict[str, Trits] = {}
@@ -133,9 +150,35 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
     order; a bridge whose cut loop is still gray colors it green and
     switches the indicator on for the covering cell tuple.  Any gray loop
     surviving the scan signals a non-minimal cut or an inconsistent
-    structure.
+    structure.  Like the partition, the table is built once per model and
+    LHS and then shared, so callers must not mutate it.
     """
-    return _credit_bridges(model, ineq, build_trit_partition(model, ineq))
+    return _indicator(model, ineq, build_trit_partition(model, ineq))[0]
+
+
+def _indicator(
+    model: LinkModel, ineq: LinearInequality, partition: TritPartition
+) -> tuple[OracularIndicatorTable, tuple, Fraction]:
+    """The LHS's indicator table, its support grouped for check 2, and the LHS cut total.
+
+    Check 2 needs, per support key (cover, size, cells), the alpha sum of
+    the terms holding it and their count.  Like the LHS cut total, these
+    depend only on the LHS, so they are built with the table, once per
+    model and LHS, over its cached `partition`.  A crediting error leaves
+    nothing cached and is raised again by the next call.
+    """
+    key = ("indicator", ineq.lhs)
+    state = model._cache.get(key)
+    if state is None:
+        table = _credit_bridges(model, ineq, partition)
+        alphas = ineq.lhs_coeffs
+        by_tuple: dict[tuple[int, int, tuple[Trits, ...]], list[Fraction]] = {}
+        for l, cover, size, cells in table.support:
+            by_tuple.setdefault((cover, size, cells), []).append(alphas[l])
+        groups = tuple((tup, sum(terms, Fraction(0)), len(terms)) for tup, terms in by_tuple.items())
+        lhs_total = sum((alpha * cut.weight for alpha, cut in zip(alphas, partition.cuts)), Fraction(0))
+        state = model._cache[key] = (table, groups, lhs_total)
+    return state
 
 
 def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPartition) -> OracularIndicatorTable:
@@ -145,7 +188,8 @@ def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPar
     for l, subsystem in enumerate(ineq.lhs_subsystems):
         cut = partition.cuts[l]
         gray = set(cut.cut)
-        colors = {loop: "gray" for loop in cut.cut}
+        # in declaration order, so the coloring's key order ignores PYTHONHASHSEED
+        colors = {model.loops[i]: "gray" for i in _indices(_min_cut(model, subsystem)[1])}
         scheduled = []
         for bridge in minimal_bridges(model, subsystem):
             hit = bridge & cut.cut
@@ -377,34 +421,26 @@ def check_cut_contraction_certificate(
         rhs_cuts.append(cut)
 
     # check 2: per-tuple domination over the indicator support
-    table = _credit_bridges(model, ineq, partition)
-    alphas = ineq.lhs_coeffs
+    _, groups, lhs_total = _indicator(model, ineq, partition)
     betas = ineq.rhs_coeffs
-    by_tuple: dict[tuple[int, int, tuple[Trits, ...]], set[int]] = {}
-    for l, cover, size, cells in table.support:
-        by_tuple.setdefault((cover, size, cells), set()).add(l)
     # A tuple outside the support has 0 on both sides, so only support keys
-    # can fail.  The RHS factor of a cell is the betas of the terms its image
-    # sends to 0.
-    zero_beta = {
-        cell: sum((beta for beta, t in zip(betas, cmap.images[cell]) if t == 0), Fraction(0))
-        for cell in partition.cells
-    }
-    for (cover, size, cells), terms in by_tuple.items():
-        lhs_value = sum((alphas[l] for l in terms), Fraction(0))
-        rhs_value = zero_beta[cells[0]] * len(terms)
+    # can fail.  The RHS factor of a key is the betas of the terms its head
+    # cell's image sends to 0, summed once per image.
+    zero_beta: dict[Trits, Fraction] = {}
+    for tup, lhs_value, count in groups:
+        image = cmap.images[tup[2][0]]
+        if image not in zero_beta:
+            zero_beta[image] = sum((beta for beta, t in zip(betas, image) if t == 0), Fraction(0))
+        rhs_value = zero_beta[image] * count
         if lhs_value < rhs_value:
             return CertificateCheck(
                 ok=False,
                 reason="contraction condition violated on a covering tuple",
-                violation=(cover, size, cells),
+                violation=tup,
                 diagnostics={"lhs": lhs_value, "rhs": rhs_value},
             )
 
     # check 3: exact weight chain
-    lhs_total = sum(
-        (alpha * cut.weight for alpha, cut in zip(alphas, partition.cuts)), Fraction(0)
-    )
     rhs_cut_total = Fraction(0)
     rhs_entropy_total = Fraction(0)
     for r, (subsystem, beta) in enumerate(ineq.rhs):

@@ -16,9 +16,11 @@ is declared combinatorially through one of two structures:
   Tables must be deletion-monotone: removing loops never creates linking.
 
 Models are immutable after construction: min-cut results, the cut
-network and the name set of every loop mask returned are cached per
-model, so mutating a model after its first query is unsupported; a race
-at first use only computes an entry twice.
+network, the name set of every loop mask returned and, per LHS of an
+inequality, the certificates' trit partitions and indicator tables are
+cached per model, so mutating a model after its first query is
+unsupported; a race at first use only computes an entry twice.  Cached
+results are returned shared and must not be mutated either.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
@@ -257,8 +259,13 @@ def _names_of(model: LinkModel, mask: int) -> frozenset[str]:
 
 
 def _indices(mask: int) -> list[int]:
-    """Bit positions set in `mask`, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """Bit positions set in `mask`, ascending; one step per set bit, however high."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
 def _blocks(model: LinkModel, present: int) -> list[int]:

@@ -1,12 +1,17 @@
 """Trit partitions, the indicator table, and certificate checking."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import linkcone
 from linkcone import certificates
 from linkcone.certificates import (
     CertificateError,
@@ -23,6 +28,9 @@ from linkcone.core import parse_inequality, subsystem_label
 from linkcone.generate import generate_bridge_regular_link_model, generate_link_model
 from linkcone.links import (
     RAY15_SEPARATING_INEQUALITY,
+    AtomicLinkages,
+    LinkModel,
+    StratificationError,
     link_entropy,
     link_min_cut,
     ray15_link,
@@ -151,6 +159,25 @@ class TestIndicatorTable:
                     Fraction(0),
                 )
                 assert credited == cut.weight == link_entropy(m, SA2.lhs_subsystems[l])
+
+    def test_coloring_order_ignores_hash_seed(self):
+        # each term's coloring lists its cut loops in declaration order
+        script = (
+            "from linkcone.certificates import compute_oracular_indicator\n"
+            "from linkcone.core import parse_inequality\n"
+            "from linkcone.generate import generate_bridge_regular_link_model\n"
+            "m = generate_bridge_regular_link_model(3, loops=10, atoms=6, max_arity=4, seed=7)\n"
+            "table = compute_oracular_indicator(m, parse_inequality('S(AB) + S(BC) >= S(B) + S(ABC)', 3))\n"
+            "print([list(table.coloring[l]) for l in sorted(table.coloring)])\n"
+        )
+        src = str(Path(linkcone.__file__).parent.parent)
+        orders = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            orders.add(proc.stdout)
+        assert orders == {"[['u4', 'u5'], ['u2', 'u4']]\n"}
 
     def test_crediting_mismatch_raises_runtime_error(self, monkeypatch):
         # a cut whose reported weight disagrees with its loops must stop the
@@ -411,3 +438,127 @@ class TestCheckMatchesReference:
                     assert outcome[0] == outcome[1]
                     outcomes.add("map" if isinstance(outcome[0], dict) else outcome[0][0].__name__)
         assert outcomes == {"map", "CertificateError", "InconsistentAssignment"}
+
+
+def series_crossing_model() -> LinkModel:
+    """A declared chain B-u3-u0-C: one minimal bridge of S(B) crosses its min-cut twice."""
+    return LinkModel(
+        loops=("A", "B", "C", "D", "u0", "u1", "u3"),
+        weights={"A": 1, "B": 1, "C": 1, "D": 1, "u0": 2, "u1": 3, "u3": 4},
+        external={1: "A", 2: "B", 3: "C", 4: "D"},
+        structure=AtomicLinkages((
+            frozenset({"B", "u1"}), frozenset({"B", "u3"}), frozenset({"C", "u0"}),
+            frozenset({"D", "u3"}), frozenset({"u0", "u1"}), frozenset({"u0", "u3"}),
+        )),
+    )
+
+
+class TestCertificateCache:
+    """Partitions and indicator tables are built once per model and LHS and shared."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        counts = {"partition": 0, "crediting": 0}
+        build, credit = certificates._build_partition, certificates._credit_bridges
+
+        def counted_build(*args):
+            counts["partition"] += 1
+            return build(*args)
+
+        def counted_credit(*args):
+            counts["crediting"] += 1
+            return credit(*args)
+
+        monkeypatch.setattr(certificates, "_build_partition", counted_build)
+        monkeypatch.setattr(certificates, "_credit_bridges", counted_credit)
+        return counts
+
+    def test_one_build_and_one_crediting_per_model_and_lhs(self, monkeypatch):
+        counts = self._count_builds(monkeypatch)
+        m = generate_bridge_regular_link_model(3, loops=10, atoms=6, max_arity=4, seed=2)
+        ineq = parse_inequality("S(AB) + 1/2 S(C) >= 4/3 S(ABC)", 3)
+        part = build_trit_partition(m, ineq)
+        table = compute_oracular_indicator(m, ineq)
+        derive_rhs_assignment(m, ineq, union_cut_zero_assignment(part))
+        rng = random.Random(2)
+        maps = []
+        while len(maps) < 40:
+            maps += TestCheckMatchesReference._maps(m, ineq, rng)
+        reports = [check_cut_contraction_certificate(m, ineq, cmap) for cmap in maps[:40]]
+        assert counts == {"partition": 1, "crediting": 1}
+        assert build_trit_partition(m, ineq) is part and compute_oracular_indicator(m, ineq) is table
+        # some checks got past check 1: to a pass or to a violated covering tuple
+        assert any(report.ok for report in reports) and any(report.violation for report in reports)
+
+    def test_query_order_and_shared_lhs_match_reference(self):
+        # checks on a cold model, before any build, and inequalities sharing
+        # their LHS terms (some with other coefficients) report as the reference
+        texts = [
+            "S(AB) + S(BC) >= S(B) + S(ABC)",
+            "S(AB) + S(BC) >= S(ABC)",
+            "S(AB) + 1/2 S(C) >= 4/3 S(ABC)",
+            "S(AB) + 1/2 S(C) >= S(ABC)",
+            "S(AB) + S(C) >= 4/3 S(ABC)",
+        ]
+        rng = random.Random(4)
+        outcomes = set()
+        for seed in range(12):
+            spec = dict(loops=8 + seed % 4, atoms=3 + seed % 5, max_arity=4, seed=seed)
+            m, shadow = (generate_bridge_regular_link_model(3, **spec) for _ in range(2))
+            for text in texts:
+                ineq = parse_inequality(text, 3)
+                maps = TestCheckMatchesReference._maps(shadow, ineq, rng)
+                for cmap in maps:
+                    expected = reference_check_cut_contraction_certificate(m, ineq, cmap)
+                    result = check_cut_contraction_certificate(m, ineq, cmap)
+                    assert result == expected, (seed, text)
+                    outcomes.add("ok" if result.ok else "violation" if result.violation else "rejected")
+                part, cold = build_trit_partition(m, ineq), build_trit_partition(shadow, ineq)
+                assert (part, list(part.cells)) == (cold, list(cold.cells))
+                assert compute_oracular_indicator(m, ineq) == reference_credit_bridges(
+                    m, ineq, reference_build_trit_partition(m, ineq)
+                )
+        assert outcomes == {"ok", "violation", "rejected"}
+
+    def test_party_count_mismatch_raises_on_a_warm_cache(self):
+        m = ray15_link()
+        five = parse_inequality("S(A) + S(B) >= S(AB)", 5)
+        part = build_trit_partition(m, five)
+        cmap = derive_rhs_assignment(m, five, union_cut_zero_assignment(part))
+        assert check_cut_contraction_certificate(m, five, cmap).ok
+        compute_oracular_indicator(m, five)
+        four = parse_inequality("S(A) + S(B) >= S(AB)", 4)  # the same LHS terms
+        message = "^party-count mismatch: inequality n=4, model n=5$"
+        for call in (
+            lambda: build_trit_partition(m, four),
+            lambda: compute_oracular_indicator(m, four),
+            lambda: derive_rhs_assignment(m, four, {}),
+            lambda: check_cut_contraction_certificate(m, four, cmap),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_stratification_error_raises_on_every_call(self):
+        m = series_crossing_model()
+        ineq = parse_inequality("S(B) + S(C) >= S(BC)", 3)
+        cmap = derive_rhs_assignment(m, ineq, union_cut_zero_assignment(build_trit_partition(m, ineq)))
+        message = r"^minimal bridge \['B', 'C', 'u0', 'u3'\] meets the min-cut of B in 2 loops$"
+        for _ in range(2):
+            with pytest.raises(StratificationError, match=message):
+                compute_oracular_indicator(m, ineq)
+            with pytest.raises(StratificationError, match=message):
+                check_cut_contraction_certificate(m, ineq, cmap)
+
+    def test_replace_starts_cold(self, monkeypatch):
+        counts = self._count_builds(monkeypatch)
+        m = ray15_link()
+        ineq = parse_inequality("S(AB) + S(C) >= S(ABC)", 5)
+        table = compute_oracular_indicator(m, ineq)
+        copy = dataclasses.replace(m)
+        assert compute_oracular_indicator(copy, ineq) == table
+        assert compute_oracular_indicator(copy, ineq) is not table
+        assert counts == {"partition": 2, "crediting": 2}
+        # a heavier u1 moves the cut of AB to the hub
+        heavier = dataclasses.replace(m, weights=dict(m.weights, u1=Fraction(7)))
+        fresh = LinkModel(m.loops, dict(m.weights, u1=Fraction(7)), m.external, m.structure)
+        assert build_trit_partition(heavier, ineq) == build_trit_partition(fresh, ineq) != table.partition

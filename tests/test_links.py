@@ -26,6 +26,7 @@ from linkcone.links import (
     MonotonicityError,
     UncuttableSubsystemError,
     _blocks,
+    _indices,
     _interior,
     _irreducible_family,
     _names_of,
@@ -129,6 +130,17 @@ class TestConnectedSublinks:
                 (sum(1 << m.loop_index(x) for x in b) for b in _bfs_blocks(m, subset)), key=lambda b: b & -b
             )
             assert _blocks(m, present) == expected, (seed, sorted(subset))
+
+
+def test_indices_match_the_bit_walk():
+    # set bits only, ascending, at any width and density, and none for 0
+    rng = random.Random(5)
+    masks = [0, 1, 1 << 64, (1 << 64) - 1, (1 << 200) | 1]
+    for width in (1, 12, 20, 63, 64, 65, 130):
+        for density in (0.05, 0.3, 0.5, 0.8, 1.0):
+            masks += [sum(1 << i for i in range(width) if rng.random() < density) for _ in range(20)]
+    for mask in masks:
+        assert _indices(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1], hex(mask)
 
 
 class TestConnectivityTable:
