@@ -269,14 +269,18 @@ class TritContractionMap:
                 raise CertificateError("trit values must be -1, 0 or 1")
 
 
+def _term_name(r: int, subsystem: Subsystem) -> str:
+    return f"RHS term {r} ({subsystem_label(subsystem)})"
+
+
 def _rhs_cut_split(
     model: LinkModel,
+    r: int,
     subsystem: Subsystem,
     zero_cells: set[Trits],
     partition: TritPartition,
-    term_name: str,
 ):
-    """Mask of the cut induced for one RHS term by its zero cells, and the sign of every other cell.
+    """Mask of the cut induced for RHS term `r` by its zero cells, and the sign of every other cell.
 
     In `partition.cells` order: +1 inside the induced interior, -1 in the
     exterior (other cells miss the cut), None for a cell that straddles both.
@@ -291,10 +295,10 @@ def _rhs_cut_split(
         inside, outside = _subsystem_externals(model, subsystem)
         _check_cut(model, cut)
     except ValueError as exc:
-        raise InconsistentAssignment(f"cut for {term_name} is unusable: {exc}") from exc
+        raise InconsistentAssignment(f"cut for {_term_name(r, subsystem)} is unusable: {exc}") from exc
     interior = _interior(model, inside, cut)
     if interior & outside:
-        raise InconsistentAssignment(f"zero cells of {term_name} do not form a valid cut")
+        raise InconsistentAssignment(f"zero cells of {_term_name(r, subsystem)} do not form a valid cut")
     return cut, {
         cell: 1 if not mask & ~interior else -1 if not mask & interior else None
         for cell, mask in masks.items()
@@ -325,13 +329,12 @@ def derive_rhs_assignment(
             raise CertificateError(f"zeros for cell {cell} reference RHS terms out of range")
     images: dict[Trits, list[int]] = {cell: [0] * len(ineq.rhs) for cell in partition.cells}
     for r, subsystem in enumerate(ineq.rhs_subsystems):
-        term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
         zero_cells = {cell for cell in partition.cells if r in zeros.get(cell, frozenset())}
-        _, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
+        _, signs = _rhs_cut_split(model, r, subsystem, zero_cells, partition)
         for cell, sign in signs.items():
             if sign is None:
                 raise InconsistentAssignment(
-                    f"cell {cell} straddles the interior and exterior of {term_name}"
+                    f"cell {cell} straddles the interior and exterior of {_term_name(r, subsystem)}"
                 )
             images[cell][r] = sign
     return TritContractionMap(
@@ -397,10 +400,9 @@ def check_cut_contraction_certificate(
     # check 1: zeros induce valid cuts and the signs match their interior/exterior
     rhs_cuts: list[int] = []
     for r, subsystem in enumerate(ineq.rhs_subsystems):
-        term_name = f"RHS term {r} ({subsystem_label(subsystem)})"
         zero_cells = {cell for cell in partition.cells if cmap.images[cell][r] == 0}
         try:
-            cut, signs = _rhs_cut_split(model, subsystem, zero_cells, partition, term_name)
+            cut, signs = _rhs_cut_split(model, r, subsystem, zero_cells, partition)
         except InconsistentAssignment as exc:
             return CertificateCheck(ok=False, reason=str(exc))
         for cell, expected in signs.items():
@@ -408,13 +410,13 @@ def check_cut_contraction_certificate(
             if expected is None:
                 return CertificateCheck(
                     ok=False,
-                    reason=f"cell {cell} straddles the interior and exterior of {term_name}",
+                    reason=f"cell {cell} straddles the interior and exterior of {_term_name(r, subsystem)}",
                 )
             if value != expected:
                 return CertificateCheck(
                     ok=False,
                     reason=(
-                        f"cell {cell} is assigned {value} for {term_name} "
+                        f"cell {cell} is assigned {value} for {_term_name(r, subsystem)} "
                         f"but lies in the {'interior' if expected == 1 else 'exterior'}"
                     ),
                 )

@@ -4,6 +4,10 @@ Exit codes: 0 success (or "holds"), 1 inequality/certificate violated,
 2 parse error, 3 semantic error, 4 usage error, 5 search budget
 exhausted.  A violated inequality is a first-class result, not an error,
 so cone experiments stay scriptable.
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process.  The `digest` of a report read from `--model` is the sha256 of
+the exact bytes parsed.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import re
 import string
 import sys
+from functools import cache
 
 from .certificates import (
     CertificateError,
@@ -29,9 +34,8 @@ from .modelio import (
     ModelFileError,
     bit_map_to_json,
     dumps_json,
-    file_digest,
     format_rational,
-    load_model,
+    load_model_with_digest,
     model_to_json,
     read_text,
     text_digest,
@@ -65,7 +69,7 @@ def _resolve_model(args):
         return model, text_digest(dumps_json(model_to_json(model)))
     if not getattr(args, "model", None):
         raise _UsageError("one of --model or --builtin is required")
-    return load_model(args.model), file_digest(args.model)
+    return load_model_with_digest(args.model)
 
 
 def _emit(text_or_obj, out_path, stream=None):
@@ -222,7 +226,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and shared by every later `main` call.
+
+    Parsing keeps no state between calls: each gets a fresh namespace, and
+    help text is formatted when it is printed.
+    """
     parser = _Parser(prog="linkcone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

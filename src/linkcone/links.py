@@ -16,11 +16,12 @@ is declared combinatorially through one of two structures:
   Tables must be deletion-monotone: removing loops never creates linking.
 
 Models are immutable after construction: min-cut results, the cut
-network, the name set of every loop mask returned and, per LHS of an
-inequality, the certificates' trit partitions and indicator tables are
-cached per model, so mutating a model after its first query is
-unsupported; a race at first use only computes an entry twice.  Cached
-results are returned shared and must not be mutated either.
+network, the name set of every loop mask returned, the external-loop
+masks of every subsystem queried and, per LHS of an inequality, the
+certificates' trit partitions and indicator tables are cached per
+model, so mutating a model after its first query is unsupported; a
+race at first use only computes an entry twice.  Cached results are
+returned shared and must not be mutated either.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
@@ -317,10 +318,19 @@ def connected_sublinks(model: LinkModel, subset) -> list[frozenset[str]]:
 
 
 def _subsystem_externals(model: LinkModel, subsystem: Subsystem) -> tuple[int, int]:
-    """Masks of the subsystem's external loops and of every other external loop."""
-    subsystem = _check_subsystem(subsystem, model.n)
-    inside = _mask_of(model, [model.external[i] for i in subsystem])
-    return inside, _mask_of(model, model.external.values()) & ~inside
+    """Masks of the subsystem's external loops and of every other external loop.
+
+    Kept in the model's cache per valid subsystem; an invalid one raises
+    on every call.
+    """
+    subsystem = frozenset(subsystem)
+    sides = model._cache.get(("sides", subsystem))
+    if sides is None:
+        _check_subsystem(subsystem, model.n)
+        inside = _mask_of(model, [model.external[i] for i in subsystem])
+        outside = _mask_of(model, model.external.values()) & ~inside
+        sides = model._cache[("sides", subsystem)] = (inside, outside)
+    return sides
 
 
 def _interior(model: LinkModel, inside: int, cut: int) -> int:

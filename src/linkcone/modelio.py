@@ -206,31 +206,45 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of an input file; an unreadable or undecodable file is a `ModelFileError`."""
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
 
 
-def load_model(path: str):
+def _decode(data: bytes, path: str) -> str:
+    """UTF-8 text with universal newlines, as a text-mode `open` reads it."""
     try:
-        obj = json.loads(read_text(path))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable or undecodable file is a `ModelFileError`."""
+    return _decode(_read_bytes(path), path)
+
+
+def load_model_with_digest(path: str):
+    """The model in a file and the sha256 digest of the exact bytes parsed, from one read."""
+    data = _read_bytes(path)
+    try:
+        obj = json.loads(_decode(data, path))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
-    return model_from_json(obj)
+    return model_from_json(obj), "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def load_model(path: str):
+    return load_model_with_digest(path)[0]
 
 
 def save_model(model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps_json(model_to_json(model)))
-
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
 
 
 def text_digest(text: str) -> str:

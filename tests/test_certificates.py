@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import linkcone
-from linkcone import certificates
+from linkcone import certificates, links
 from linkcone.certificates import (
     CertificateError,
     InconsistentAssignment,
@@ -519,6 +519,22 @@ class TestCertificateCache:
                     m, ineq, reference_build_trit_partition(m, ineq)
                 )
         assert outcomes == {"ok", "violation", "rejected"}
+
+    def test_warm_checks_do_no_name_work(self, monkeypatch):
+        # a warm check reads each RHS term's external masks from the model's
+        # cache and builds a term's label only for a message that names it
+        m = generate_bridge_regular_link_model(3, loops=10, atoms=6, max_arity=4, seed=2)
+        ineq = parse_inequality("S(AB) + 1/2 S(C) >= 4/3 S(ABC)", 3)
+        maps = TestCheckMatchesReference._maps(m, ineq, random.Random(5))
+        expected = [check_cut_contraction_certificate(m, ineq, cmap) for cmap in maps]
+        calls = []
+        for module, name in ((links, "_mask_of"), (certificates, "subsystem_label")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        assert [check_cut_contraction_certificate(m, ineq, cmap) for cmap in maps] == expected
+        named = [report for report in expected if "RHS term" in (report.reason or "")]
+        assert named and any(report.ok for report in expected)
+        assert calls == ["subsystem_label"] * len(named)
 
     def test_party_count_mismatch_raises_on_a_warm_cache(self):
         m = ray15_link()

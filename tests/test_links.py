@@ -377,6 +377,16 @@ class TestLoopCuts:
         with pytest.raises(ValueError):
             is_valid_loop_cut(m, frozenset({1}), {"a"})
 
+    def test_bad_subsystem_raises_on_every_call(self):
+        # the external masks are cached per valid subsystem only
+        m = ray15_link()
+        for _ in range(2):
+            for bad in ({6}, set(), [0, 1]):
+                with pytest.raises(ValueError, match=r"^subsystem must be a nonempty subset of \[5\]$"):
+                    is_valid_loop_cut(m, bad, {"w2"})
+            assert is_valid_loop_cut(m, [1, 3], {"w2"})
+        assert _subsystem_externals(m, [3, 1]) is _subsystem_externals(m, frozenset({1, 3}))
+
     def test_maximal_cut_validity(self):
         m = ray15_link()
         internal = {"w2", "u1", "u2", "u3"}

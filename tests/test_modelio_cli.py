@@ -1,7 +1,11 @@
 """File formats and the command-line surface, including the exit-code contract."""
 
+import argparse
+import builtins
+import hashlib
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkcone import cli
 from linkcone.cli import main
 from linkcone.generate import generate_hypergraph, generate_link_model
 from linkcone.graphs import WeightedGraph
@@ -645,3 +650,167 @@ def test_one_bad_field_never_escapes_the_exit_codes(fuzz_dir, data):
             assert code in (0, 1, 2, 3), (argv[0], name, path, value, code)
             if must_fail:
                 assert code == 2, (argv[0], name, path, value, code)
+
+
+def _renamed(obj, old: str, new: str) -> str:
+    """The file's JSON text with the name `old` replaced by `new` in every string and key.
+
+    Connectivity-table keys are comma-joined names, so each comma-separated
+    part is renamed; keys that collide after the rename are kept twice.
+    """
+
+    def swap(match):
+        parts = json.loads(match.group(0)).split(",")
+        return json.dumps(",".join(new if part == old else part for part in parts))
+
+    return re.sub(r'"[^"\\]*"', swap, dumps_json(obj))
+
+
+def _model_names(obj) -> list[str]:
+    return obj["vertices"] if obj["kind"] in ("graph", "hypergraph") else obj["loops"]
+
+
+def _captured_main(argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _without_digest(result):
+    code, out, err = result
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["digest"]
+        out = dumps_json(report)
+    return code, out, err
+
+
+def test_fresh_name_keeps_every_result(fuzz_dir):
+    cmap = str(fuzz_dir / "map.json")
+    renamed = str(fuzz_dir / "renamed.json")
+    for name in ("graph", "hypergraph", "atoms", "table"):
+        obj = FUZZ_FILES[name]
+        expected = [
+            _without_digest(_captured_main(argv))
+            for argv in _fuzz_commands(fuzz_dir, str(fuzz_dir / f"{name}.json"), cmap)
+        ]
+        assert expected[1][0] == 0
+        for old in _model_names(obj):
+            with open(renamed, "w", encoding="utf-8") as handle:
+                handle.write(_renamed(obj, old, "x"))
+            got = [_without_digest(_captured_main(argv)) for argv in _fuzz_commands(fuzz_dir, renamed, cmap)]
+            assert got == expected, (name, old)
+
+
+def test_name_renamed_onto_another_is_an_error(fuzz_dir):
+    cmap = str(fuzz_dir / "map.json")
+    renamed = str(fuzz_dir / "renamed.json")
+    for name in ("graph", "hypergraph", "atoms", "table"):
+        obj = FUZZ_FILES[name]
+        for old in _model_names(obj):
+            for other in _model_names(obj):
+                if other == old:
+                    continue
+                with open(renamed, "w", encoding="utf-8") as handle:
+                    handle.write(_renamed(obj, old, other))
+                for argv in _fuzz_commands(fuzz_dir, renamed, cmap):
+                    code, out, err = _captured_main(argv)
+                    assert code in (2, 3) and out == "", (argv[0], name, old, other, code, err)
+
+
+# The parser is built once per process and keeps no state between calls.
+
+
+def test_twenty_calls_build_one_parser(monkeypatch, fuzz_dir):
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        inits.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.__wrapped__()
+    per_build = len(inits)
+    inits.clear()
+    cli.build_parser.cache_clear()
+    commands = _fuzz_commands(fuzz_dir, str(fuzz_dir / "atoms.json"), str(fuzz_dir / "map.json"))
+    for i in range(20):
+        assert _quiet_main(commands[i % len(commands)]) == 0
+    assert len(inits) == per_build
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    sa = write(tmp_path, "sa.txt", FUZZ_SA)
+    sum5 = write(tmp_path, "sum.txt", "S(AB) + S(C) >= S(ABC)")
+    model = write(tmp_path, "ray15.json", model_to_json(ray15_link()))
+    bad = write(tmp_path, "bad.json", "{not json")
+    found = str(tmp_path / "found.json")
+    from linkcone.certificates import build_trit_partition, derive_rhs_assignment, union_cut_zero_assignment
+    from linkcone.core import parse_inequality
+
+    m, ineq = ray15_link(), parse_inequality("S(AB) + S(C) >= S(ABC)", 5)
+    cmap = derive_rhs_assignment(m, ineq, union_cut_zero_assignment(build_trit_partition(m, ineq)))
+    certificate = write(tmp_path, "cert.json", trit_map_to_json(cmap))
+    sequence = [
+        ["find-contraction", "--ineq", sa, "--out", found],
+        ["find-contraction", "--ineq", sa],
+        ["check-ineq", "--model", model, "--ineq", sum5, "--method", "certificate", "--map", certificate],
+        ["entropy-vector", "--bogus"],
+        ["check-ineq", "--model", model, "--ineq", sum5],
+        ["entropy", "--model", bad, "--subsystem", "A"],
+        ["check-ineq", "--model", model, "--ineq", sum5, "--method", "certificate"],
+        ["find-contraction", "--ineq", sa, "--mode", "hypergraph:3", "--budget", "50"],
+        ["find-contraction", "--ineq", sa],
+        [],
+        ["entropy-vector", "--builtin", "ray15"],
+        ["generate", "--parties", "2", "--loops", "5", "--atoms", "2", "--max-arity", "2", "--seed", "3"],
+        ["generate", "--builtin", "ray15"],
+        ["check-ineq", "--builtin", "ray15", "--ineq", sum5, "--map", certificate],
+    ]
+    reused = [_captured_main(argv) for argv in sequence]
+    assert {code for code, _, _ in reused} == {0, 2, 4}
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_captured_main(argv) for argv in sequence] == reused
+
+
+# Each model file is read once; the digest names the bytes parsed.
+
+
+def test_model_file_opened_once(tmp_path, monkeypatch):
+    model = write(tmp_path, "ray15.json", model_to_json(ray15_link()))
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if file == model:
+            opened.append(args)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert _quiet_main(["entropy-vector", "--model", model]) == 0
+    assert len(opened) == 1
+
+
+def test_crlf_file_digest_is_of_its_raw_bytes(tmp_path, capsys):
+    data = dumps_json(model_to_json(ray15_link())).replace("\n", "\r\n").encode("utf-8")
+    path = tmp_path / "crlf.json"
+    path.write_bytes(data)
+    assert main(["entropy-vector", "--model", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert report["vector"] == json.loads(_captured_main(["entropy-vector", "--builtin", "ray15"])[1])["vector"]
+
+
+def test_json_error_positions_ignore_line_endings(tmp_path):
+    text = '{\n  "kind": "link",\n  "loops": ["a",\n}\n'
+    errors = []
+    for ending in ("\n", "\r\n", "\r"):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        code, out, err = _captured_main(["entropy-vector", "--model", str(path)])
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "line 4 column 1" in errors[0]
