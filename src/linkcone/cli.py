@@ -1,9 +1,4 @@
-"""Command-line surface.
-
-Exit codes: 0 success (or "holds"), 1 inequality/certificate violated,
-2 parse error, 3 semantic error, 4 usage error, 5 search budget
-exhausted.  A violated inequality is a first-class result, not an error,
-so cone experiments stay scriptable.
+"""Command-line surface; `DESCRIPTION`, which `linkcone --help` prints, lists the exit codes.
 
 `main(argv)` returns the exit code and may be called repeatedly in one
 process.  The `digest` of a report read from `--model` is the sha256 of
@@ -48,6 +43,11 @@ EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_USAGE = 4
 EXIT_BUDGET = 5
+
+DESCRIPTION = """Exit codes: 0 success (or "holds"), 1 inequality/certificate violated,
+2 parse error, 3 semantic error, 4 usage error, 5 search budget
+exhausted.  A violated inequality is a first-class result, not an error,
+so cone experiments stay scriptable."""
 
 BUILTINS = {"ray15": ray15_link}
 
@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
     Parsing keeps no state between calls: each gets a fresh namespace, and
     help text is formatted when it is printed.
     """
-    parser = _Parser(prog="linkcone", description=__doc__)
+    parser = _Parser(prog="linkcone", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):

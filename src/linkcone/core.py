@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
+from types import MappingProxyType
 
 Subsystem = frozenset[int]
 Bits = tuple[int, ...]
@@ -47,15 +48,26 @@ def scaled(weight: Fraction, scale: int) -> int:
     return weight.numerator * (scale // weight.denominator)
 
 
-def _check_external(external: dict[int, str], names: set[str], noun: str) -> None:
-    """Validate a model's external mapping: parties 1..n+1 with n >= 1, injective, known `noun`."""
+def _declared(names, external, noun: str, nouns: str) -> tuple[tuple[str, ...], MappingProxyType, set[str]]:
+    """Distinct names as a tuple, `external` (parties 1..n+1, n >= 1, injective) read-only, and the name set."""
+    names, external = tuple(names), dict(external)
+    name_set = set(names)
+    if len(name_set) != len(names):
+        raise ValueError(f"duplicate {noun} names")
     parties = sorted(external)
     if parties != list(range(1, len(parties) + 1)) or len(parties) < 2:
         raise ValueError("external mapping must cover parties 1..n+1 with n >= 1")
     if len(set(external.values())) != len(external):
         raise ValueError("external mapping must be injective")
-    if not set(external.values()) <= names:
-        raise ValueError(f"external mapping references unknown {noun}")
+    if not set(external.values()) <= name_set:
+        raise ValueError(f"external mapping references unknown {nouns}")
+    return names, MappingProxyType(external), name_set
+
+
+def _store(obj, **attributes) -> None:
+    """Set attributes on a frozen dataclass instance; `object.__setattr__` keeps attribute reads fast."""
+    for name, value in attributes.items():
+        object.__setattr__(obj, name, value)
 
 
 def _check_subsystem(subsystem, n: int) -> Subsystem:

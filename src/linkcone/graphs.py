@@ -5,23 +5,24 @@ subsystem's external vertices from all other external vertices.  A graph
 is the rank-2 hypergraph: each edge is a two-member hyperedge, so the
 entropy is one exact integer max-flow on the cut network `hypergraphs`
 builds once per model, where every edge is one undirected arc pair and a
-subsystem only opens its terminal slots.  Mutating a graph after its
-first query is unsupported; a race at first use only builds the network
-twice.  The test suite cross-checks the flow against exhaustive
-bipartition enumeration.
+subsystem only opens its terminal slots.  Graphs are frozen, so the
+network never goes stale; a race at first use only builds it twice.  The
+test suite cross-checks the flow against exhaustive bipartition
+enumeration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Subsystem, _check_external, entropy_vector
+from .core import Subsystem, _declared, _store, entropy_vector
 from .flow import CutNetwork
 from .hypergraphs import _cut_entropy
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with nonnegative rational edge weights.
 
@@ -31,17 +32,12 @@ class WeightedGraph:
     """
 
     vertices: tuple[str, ...]
-    external: dict[int, str]
+    external: Mapping[int, str]
     edges: tuple[tuple[str, str, Fraction], ...]
     _network: CutNetwork | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.vertices = tuple(self.vertices)
-        self.external = dict(self.external)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        vertex_set = set(self.vertices)
-        _check_external(self.external, vertex_set, "vertices")
+        vertices, external, vertex_set = _declared(self.vertices, self.external, "vertex", "vertices")
         edges = []
         for u, v, w in self.edges:
             if u == v:
@@ -52,7 +48,7 @@ class WeightedGraph:
             if w < 0:
                 raise ValueError("edge weights must be nonnegative")
             edges.append((u, v, w))
-        self.edges = tuple(edges)
+        _store(self, vertices=vertices, external=external, edges=tuple(edges))
 
     @property
     def n(self) -> int:

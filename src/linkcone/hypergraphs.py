@@ -11,17 +11,18 @@ of three or more members gets Lawler's gadget (E. L. Lawler, *Cutsets
 and partitions of hypergraphs*, Networks 3, 1973): an arc of its weight
 from an entry node to an exit node, with every member feeding the entry
 and fed by the exit through uncuttable arcs, so a finite cut severs
-exactly the hyperedges a vertex set splits.  Models are immutable by
-convention: mutating one after its first query is unsupported (as for
-`LinkModel`), and a race at first use only builds the same network twice.
+exactly the hyperedges a vertex set splits.  Models are frozen (as are
+`WeightedGraph` and `LinkModel`), so the network never goes stale; a race
+at first use only builds it twice.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Subsystem, _check_external, _check_subsystem, entropy_vector
+from .core import Subsystem, _check_subsystem, _declared, _store, entropy_vector
 from .flow import CutNetwork
 
 
@@ -52,12 +53,12 @@ def _cut_entropy(model, edges, subsystem: Subsystem) -> Fraction:
             gadget += 2
         for party, v in model.external.items():
             network.slot(party, node[v], node[v])
-        model._network = network
+        object.__setattr__(model, "_network", network)
     flow, _ = network.solve(subsystem, model.external.keys() - subsystem)
     return Fraction(flow, network.scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hypergraph:
     """Vertices plus weighted hyperedges of two or more distinct members.
 
@@ -66,17 +67,12 @@ class Hypergraph:
     """
 
     vertices: tuple[str, ...]
-    external: dict[int, str]
+    external: Mapping[int, str]
     hyperedges: tuple[tuple[frozenset[str], Fraction], ...]
     _network: CutNetwork | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.vertices = tuple(self.vertices)
-        self.external = dict(self.external)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        vertex_set = set(self.vertices)
-        _check_external(self.external, vertex_set, "vertices")
+        vertices, external, vertex_set = _declared(self.vertices, self.external, "vertex", "vertices")
         edges = []
         for members, w in self.hyperedges:
             members = frozenset(members)
@@ -88,7 +84,7 @@ class Hypergraph:
             if w < 0:
                 raise ValueError("hyperedge weights must be nonnegative")
             edges.append((members, w))
-        self.hyperedges = tuple(edges)
+        _store(self, vertices=vertices, external=external, hyperedges=tuple(edges))
 
     @property
     def n(self) -> int:

@@ -15,13 +15,13 @@ is declared combinatorially through one of two structures:
 * `ConnectivityTable` spells out the sublink partition of every subset.
   Tables must be deletion-monotone: removing loops never creates linking.
 
-Models are immutable after construction: min-cut results, the cut
-network, the name set of every loop mask returned, the external-loop
-masks of every subsystem queried and, per LHS of an inequality, the
-certificates' trit partitions and indicator tables are cached per
-model, so mutating a model after its first query is unsupported; a
-race at first use only computes an entry twice.  Cached results are
-returned shared and must not be mutated either.
+Models are frozen: assigning a field raises `FrozenInstanceError`, and
+`weights`, `external` and a table's `blocks_by_subset` are read-only
+copies, so item assignment raises `TypeError`.  Min-cuts, the cut
+network, name sets of loop masks, subsystems' external-loop masks and,
+per LHS of an inequality, the certificates' trit partitions and
+indicator tables are cached per model on first use (a race only
+computes an entry twice) and returned shared: do not mutate them.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
@@ -45,11 +45,15 @@ It is exponential in the worst case and has no node budget.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
-from .core import Subsystem, _check_external, _check_subsystem, all_subsystems, entropy_vector, scale_of, scaled
+from .core import (
+    Subsystem, _check_subsystem, _declared, _store, all_subsystems, entropy_vector, scale_of, scaled
+)
 from .flow import CutNetwork
 from .hypergraphs import Hypergraph
 
@@ -95,7 +99,10 @@ class AtomicLinkages:
 class ConnectivityTable:
     """Explicit sublink partition for every loop subset."""
 
-    blocks_by_subset: dict[frozenset[str], tuple[frozenset[str], ...]]
+    blocks_by_subset: Mapping[frozenset[str], tuple[frozenset[str], ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks_by_subset", MappingProxyType(dict(self.blocks_by_subset)))
 
     def blocks(self, subset: frozenset[str]) -> tuple[frozenset[str], ...]:
         try:
@@ -140,7 +147,7 @@ def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable
     return masks
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LinkModel:
     """Weighted loop set with external labeling and a declared linking structure.
 
@@ -154,49 +161,45 @@ class LinkModel:
     """
 
     loops: tuple[str, ...]
-    weights: dict[str, Fraction | _Infinite]
-    external: dict[int, str]
+    weights: Mapping[str, Fraction | _Infinite]
+    external: Mapping[int, str]
     structure: AtomicLinkages | ConnectivityTable
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.loops = tuple(self.loops)
-        self.weights = dict(self.weights)
-        self.external = dict(self.external)
-        if len(set(self.loops)) != len(self.loops):
-            raise ValueError("duplicate loop names")
-        loop_set = set(self.loops)
-        _check_external(self.external, loop_set, "loops")
-        if set(self.weights) != loop_set:
+        loops, external, loop_set = _declared(self.loops, self.external, "loop", "loops")
+        weights = dict(self.weights)
+        if set(weights) != loop_set:
             raise ValueError("weights must be given for every loop")
-        externals = set(self.external.values())
-        for loop, w in self.weights.items():
-            if isinstance(w, _Infinite):
-                continue
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError(f"negative weight on loop {loop!r}")
-            self.weights[loop] = w
-        self._cache["index"] = {name: i for i, name in enumerate(self.loops)}
-        self._cache["names"] = {}  # the name set of every loop mask converted so far
-        self._cache["externals"] = externals
+        for loop, w in weights.items():
+            if not isinstance(w, _Infinite):
+                weights[loop] = Fraction(w)
+                if weights[loop] < 0:
+                    raise ValueError(f"negative weight on loop {loop!r}")
+        index = {name: i for i, name in enumerate(loops)}
+        externals = frozenset(external.values())
+        atoms = atoms_at = table = None
         if isinstance(self.structure, AtomicLinkages):
             for atom in self.structure.atoms:
                 if not atom <= loop_set:
                     raise ValueError(f"atom {sorted(atom)} references unknown loops")
-            atoms = self._cache["atoms"] = [_mask_of(self, atom) for atom in self.structure.atoms]
-            atoms_at = self._cache["atoms_at"] = [[] for _ in self.loops]  # the atoms at each loop
+            atoms = [sum(1 << index[x] for x in atom) for atom in self.structure.atoms]
+            atoms_at = [[] for _ in loops]  # the atoms at each loop
             for atom in atoms:
                 for i in _indices(atom):
                     atoms_at[i].append(atom)
             # loops in no atom never affect connectivity, so no cut needs them
-            linked = _mask_of(self, set().union(*self.structure.atoms))
+            linked = sum(1 << i for i, at in enumerate(atoms_at) if at)
         else:
-            self._cache["table"] = validate_connectivity_table(self.loops, self.structure)
-            linked = (1 << len(self.loops)) - 1
-        cuttable = _mask_of(self, [x for x in self.loops if x not in externals and self.is_finite(x)])
-        self._cache["cuttable"] = cuttable
-        self._cache["candidates"] = cuttable & linked
+            table = validate_connectivity_table(loops, self.structure)
+            linked = (1 << len(loops)) - 1
+        cuttable = sum(1 << index[x] for x in loop_set - externals if not isinstance(weights[x], _Infinite))
+        # `_names` will hold the name set of every loop mask converted
+        _store(
+            self, loops=loops, weights=MappingProxyType(weights), external=external, _index=index, _names={},
+            _externals=externals, _atoms=atoms, _atoms_at=atoms_at, _table=table, _cuttable=cuttable,
+            _candidates=cuttable & linked,
+        )
 
     @property
     def n(self) -> int:
@@ -204,15 +207,14 @@ class LinkModel:
 
     @property
     def external_loops(self) -> frozenset[str]:
-        return frozenset(self._cache["externals"])
+        return self._externals
 
     @property
     def internal_loops(self) -> tuple[str, ...]:
-        ext = self._cache["externals"]
-        return tuple(name for name in self.loops if name not in ext)
+        return tuple(name for name in self.loops if name not in self._externals)
 
     def loop_index(self, name: str) -> int:
-        return self._cache["index"][name]
+        return self._index[name]
 
     def is_finite(self, name: str) -> bool:
         return not isinstance(self.weights[name], _Infinite)
@@ -240,7 +242,7 @@ class LoopCutResult:
 
 def _mask_of(model: LinkModel, names) -> int:
     """Mask of the loops `names`, any iterable; repeats are harmless."""
-    index = model._cache["index"]
+    index = model._index
     mask = 0
     try:
         for name in names:
@@ -253,7 +255,7 @@ def _mask_of(model: LinkModel, names) -> int:
 
 def _names_of(model: LinkModel, mask: int) -> frozenset[str]:
     """Name set of a loop mask, built once per model and mask."""
-    names = model._cache["names"]
+    names = model._names
     if mask not in names:
         names[mask] = frozenset(model.loops[i] for i in _indices(mask))
     return names[mask]
@@ -277,11 +279,11 @@ def _blocks(model: LinkModel, present: int) -> list[int]:
     such atom covers is a block of its own.  The returned list may be
     shared: callers must not mutate it.
     """
-    table = model._cache.get("table")
+    table = model._table
     if table is not None:
         return table[present]
     groups: list[int] = []
-    for atom in model._cache["atoms"]:
+    for atom in model._atoms:
         if atom & ~present:
             continue
         # groups are disjoint, so one that meets the merged mask meets `atom`
@@ -309,7 +311,7 @@ def _blocks(model: LinkModel, present: int) -> list[int]:
 
 def connected_sublinks(model: LinkModel, subset) -> list[frozenset[str]]:
     """Partition of `subset` into connected sublinks; singletons are their own blocks."""
-    names = model._cache["names"]
+    names = model._names
     return [names.get(b) or _names_of(model, b) for b in _blocks(model, _mask_of(model, subset))]
 
 
@@ -348,7 +350,7 @@ def _interior(model: LinkModel, inside: int, cut: int) -> int:
 
 def _check_cut(model: LinkModel, cut: int) -> None:
     """Raise ValueError when the loop mask `cut` holds an external or infinite-weight loop."""
-    bad = cut & ~model._cache["cuttable"]
+    bad = cut & ~model._cuttable
     if bad:
         raise ValueError(f"cut contains external or infinite-weight loops: {sorted(_names_of(model, bad))}")
 
@@ -367,7 +369,7 @@ def _chain(model: LinkModel, inside: int, outside: int, cut: int) -> int:
     A breadth-first search over loops, stepping through the atoms at each
     loop, so the chain has as few atoms as any.
     """
-    atoms_at = model._cache["atoms_at"]
+    atoms_at = model._atoms_at
     came: dict[int, tuple[int, int]] = {}  # loop -> (atom that reached it, loop it was reached from)
     reached = inside
     frontier = _indices(inside)
@@ -414,12 +416,12 @@ def _search_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fracti
     is the best cut under the node.  The search is exponential in the
     worst case.
     """
-    candidates = model._cache["candidates"]
+    candidates = model._candidates
     order = _indices(candidates)
     scale = scale_of(model.weights[model.loops[i]] for i in order)
     weight_of = {i: scaled(model.weights[model.loops[i]], scale) for i in order}
     zeros = sum(1 << i for i in order if not weight_of[i])
-    table = "table" in model._cache
+    table = model._table is not None
     # cutting every candidate is valid (the caller checked), so it bounds the search
     best = (sum(weight_of.values()), order, candidates)
 
@@ -456,20 +458,18 @@ def _pair_network(model: LinkModel) -> CutNetwork | None:
     A cut is then a vertex separator and the max flow its minimum weight.
     """
     if "pair_network" not in model._cache:
-        atoms = model._cache.get("atoms")
         network = None
-        if atoms is not None and all(atom.bit_count() == 2 for atom in atoms):
-            everything = model._cache["candidates"]
-            order = _indices(everything)
+        if model._atoms is not None and all(atom.bit_count() == 2 for atom in model._atoms):
+            order = _indices(model._candidates)
             network = CutNetwork(2 * len(model.loops), [model.weights[model.loops[i]] for i in order])
             caps = dict(zip(order, network.capacities))
             for i in range(len(model.loops)):
                 network.add(2 * i, 2 * i + 1, caps.get(i, network.big))
-            for atom in atoms:
+            for atom in model._atoms:
                 u, v = _indices(atom)
                 network.add(2 * u + 1, 2 * v, network.big)
                 network.add(2 * v + 1, 2 * u, network.big)
-            for i in _indices(everything | _mask_of(model, model._cache["externals"])):
+            for i in _indices(model._candidates | _mask_of(model, model._externals)):
                 network.slot(i, 2 * i, 2 * i + 1)
         model._cache["pair_network"] = network
     return model._cache["pair_network"]
@@ -493,7 +493,7 @@ def _flow_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction
     # lie in one minimum cut and any separating set weighs at least the
     # flow, so separation is asked only once the chosen weight reaches it.
     chosen = weight = 0
-    for i in _indices(model._cache["candidates"]):
+    for i in _indices(model._candidates):
         if network.cap[2 * i]:
             continue  # a residual split arc leads from in(i) straight to out(i)
         closure = network.reach((cut_network.source, 2 * i), cut_network.sink)
@@ -543,7 +543,7 @@ def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[LoopCutResult, int
     interior = _interior(model, inside, 0)
     if not interior & outside:
         weight, cut = Fraction(0), 0
-    elif _interior(model, inside, model._cache["candidates"]) & outside:
+    elif _interior(model, inside, model._candidates) & outside:
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )
@@ -590,11 +590,11 @@ def _irreducible_family(model: LinkModel) -> tuple[int, ...]:
     if cached is None:
         if len(model.loops) > 16:
             raise ValueError("irreducible-sublink enumeration is supported for at most 16 loops")
-        table = model._cache.get("table")
+        table = model._table
         if table is not None:
             family = {mask for mask, blocks in table.items() if len(blocks) == 1 and mask & (mask - 1)}
         else:
-            atoms = model._cache["atoms"]
+            atoms = model._atoms
             family = set(atoms)
             pending = list(family)
             while pending:
@@ -725,12 +725,7 @@ def hypergraph_to_link(hypergraph: Hypergraph) -> LinkModel:
         weights[name] = w
         for member in sorted(members):
             atoms.append(frozenset({name, member}))
-    return LinkModel(
-        loops=tuple(loops),
-        weights=weights,
-        external=dict(hypergraph.external),
-        structure=AtomicLinkages(tuple(atoms)),
-    )
+    return LinkModel(loops=loops, weights=weights, external=hypergraph.external, structure=AtomicLinkages(atoms))
 
 
 RAY15_SEPARATING_INEQUALITY = (

@@ -16,7 +16,10 @@ trit partition and the bridge crediting on loop names, and of the RHS cut
 split, which classifies every cell against the interior and exterior.  So is the link min-cut's subset search, on its own copy of
 the block growth and cut sides the library had then: the pair-atom
 max-flow and the witness branching must match it cut for cut, and a
-change to the library's connectivity kernel leaves it as it is.
+change to the library's connectivity kernel leaves it as it is.  It
+reads only a model's public fields, rebuilding the atom masks, the
+table on masks and the candidate loops, so it checks the candidate rule
+rather than inheriting the library's.
 """
 
 from __future__ import annotations
@@ -50,15 +53,16 @@ from linkcone.core import (
 from linkcone.graphs import WeightedGraph
 from linkcone.hypergraphs import Hypergraph
 from linkcone.links import (
+    INFINITE,
     AtomicLinkages,
     LinkModel,
     LoopCutResult,
     StratificationError,
     UncuttableSubsystemError,
-    _subsystem_externals,
     link_entropy,
     link_min_cut,
     minimal_bridges,
+    validate_connectivity_table,
 )
 
 
@@ -686,12 +690,23 @@ def reference_check_cut_contraction_certificate(
 # the witness branching, with its own copy of the block growth it ran on
 
 
-def _reference_blocks(model: LinkModel, present: int) -> list[int]:
+def _reference_mask(model: LinkModel, names) -> int:
+    return sum(1 << i for i, x in enumerate(model.loops) if x in names)
+
+
+def _reference_structure(model: LinkModel) -> tuple[list[int] | None, dict[int, list[int]] | None]:
+    """Atom masks, or the table on loop masks, read off the model's public `structure`."""
+    if isinstance(model.structure, AtomicLinkages):
+        return [_reference_mask(model, atom) for atom in model.structure.atoms], None
+    return None, validate_connectivity_table(model.loops, model.structure)
+
+
+def _reference_blocks(structure, present: int) -> list[int]:
     """Blocks of the loop mask `present`, ordered by lowest bit: each grows from its lowest loop."""
-    table = model._cache.get("table")
+    atoms, table = structure
     if table is not None:
         return table[present]
-    live = [atom for atom in model._cache["atoms"] if not atom & ~present]
+    live = [atom for atom in atoms if not atom & ~present]
     blocks = []
     while present:
         block = present & -present
@@ -706,20 +721,26 @@ def _reference_blocks(model: LinkModel, present: int) -> list[int]:
     return blocks
 
 
-def _reference_separates(model: LinkModel, inside: int, outside: int, cut: int) -> bool:
+def _reference_separates(model: LinkModel, structure, inside: int, outside: int, cut: int) -> bool:
     rest = ((1 << len(model.loops)) - 1) & ~cut
-    return not any(b & inside and b & outside for b in _reference_blocks(model, rest))
+    return not any(b & inside and b & outside for b in _reference_blocks(structure, rest))
 
 
 def _reference_names(model: LinkModel, mask: int) -> frozenset[str]:
     return frozenset(x for i, x in enumerate(model.loops) if mask >> i & 1)
 
 
+def _reference_sides(model: LinkModel, subsystem: Subsystem) -> tuple[int, int]:
+    """Masks of the subsystem's external loops and of every other external loop."""
+    inside = _reference_mask(model, {model.external[i] for i in subsystem})
+    return inside, _reference_mask(model, set(model.external.values())) & ~inside
+
+
 def reference_cut_sides(model: LinkModel, subsystem: Subsystem, cut) -> tuple[frozenset[str], frozenset[str]]:
     """Interior and exterior left by removing the loop names `cut`, as `_cut_sides` returns them."""
-    inside, _ = _subsystem_externals(model, subsystem)
-    rest = ((1 << len(model.loops)) - 1) & ~sum(1 << model.loop_index(x) for x in cut)
-    interior = sum(b for b in _reference_blocks(model, rest) if b & inside)
+    inside, _ = _reference_sides(model, subsystem)
+    rest = ((1 << len(model.loops)) - 1) & ~_reference_mask(model, cut)
+    interior = sum(b for b in _reference_blocks(_reference_structure(model), rest) if b & inside)
     return _reference_names(model, interior), _reference_names(model, rest & ~interior)
 
 
@@ -727,18 +748,23 @@ def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutRes
     """`link_min_cut` by the pruned subset search, for every structure.
 
     The search is the library's before witness branching, on `Fraction`
-    weights and its own copy of the block growth; the per-model result
-    cache is left out, so the reference never answers from (or fills)
-    the cache the library reads.
+    weights and its own copy of the block growth.  Atom masks, the table
+    and the candidate loops (finite internal loops in some atom, or every
+    finite internal loop of a table) are rebuilt from the model's public
+    fields, and the per-model result cache is left out, so the reference
+    never answers from (or fills) the state the library reads.
     """
     subsystem = frozenset(subsystem)
-    inside, outside = _subsystem_externals(model, subsystem)
-    everything = model._cache["candidates"]
-    if not _reference_separates(model, inside, outside, everything):
+    structure = _reference_structure(model)
+    inside, outside = _reference_sides(model, subsystem)
+    linked = set(model.loops) if structure[1] is not None else set().union(*model.structure.atoms)
+    cuttable = {x for x in linked if x not in model.external.values() and model.weights[x] is not INFINITE}
+    order = [i for i, x in enumerate(model.loops) if x in cuttable]
+    everything = sum(1 << i for i in order)
+    if not _reference_separates(model, structure, inside, outside, everything):
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )
-    order = [i for i in range(len(model.loops)) if everything >> i & 1]
     weights = [model.weights[model.loops[i]] for i in order]
     # Cutting every candidate is valid, and the search below reaches it or
     # a cut that beats it, so it is a safe starting point.
@@ -748,7 +774,7 @@ def reference_link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutRes
         nonlocal best
         if weight > best[0]:
             return
-        if _reference_separates(model, inside, outside, cut):
+        if _reference_separates(model, structure, inside, outside, cut):
             best = min(best, (weight, idx_tuple, cut))
             return
         for j in range(pos, len(order)):

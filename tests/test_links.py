@@ -147,6 +147,18 @@ class TestConnectivityTable:
     def _table(self, blocks):
         return ConnectivityTable(blocks)
 
+    def test_table_is_read_only(self):
+        fs = frozenset
+        blocks = {fs(): (), fs("a"): (fs("a"),), fs("b"): (fs("b"),), fs("ab"): (fs("ab"),)}
+        table = ConnectivityTable(blocks)
+        model = LinkModel(("a", "b"), {"a": 1, "b": 1}, {1: "a", 2: "b"}, table)
+        with pytest.raises(TypeError):
+            table.blocks_by_subset[fs("ab")] = (fs("a"), fs("b"))
+        # the caller's dict is copied, so changing it leaves the table as validated
+        blocks[fs("ab")] = (fs("a"), fs("b"))
+        assert table.blocks(fs("ab")) == (fs("ab"),)
+        assert connected_sublinks(model, {"a", "b"}) == [fs("ab")]
+
     def test_valid_table_loads(self):
         fs = frozenset
         blocks = {

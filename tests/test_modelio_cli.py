@@ -719,6 +719,17 @@ def test_name_renamed_onto_another_is_an_error(fuzz_dir):
                     assert code in (2, 3) and out == "", (argv[0], name, old, other, code, err)
 
 
+def test_help_lists_the_exit_codes_and_no_python_notes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for code in ("0 success", "1 inequality/certificate violated", "2 parse error", "3 semantic error",
+                 "4 usage error", "5 search budget exhausted"):
+        assert code in text
+    assert "main(argv)" not in text and "`" not in text
+
+
 # The parser is built once per process and keeps no state between calls.
 
 

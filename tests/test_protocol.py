@@ -151,3 +151,51 @@ def test_replace_builds_a_fresh_model():
     changed, fresh = cases[0]
     for sub in all_subsystems(link.n):
         assert link_min_cut(changed, sub) == link_min_cut(fresh, sub), sub
+
+
+# Models are frozen: a mutation raises instead of leaving cached answers stale.
+
+
+def test_reassigning_graph_edges_after_a_query_raises():
+    g = generate_graph(3, 6, 8, 1)
+    vector = entropy_vector(g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = tuple((u, v, 2 * w) for u, v, w in g.edges)
+    assert entropy_vector(g) == vector
+
+
+def test_link_weight_item_assignment_raises():
+    m = ray15_link()
+    vector = entropy_vector(m)
+    with pytest.raises(TypeError):
+        m.weights["w2"] = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.weights = dict(m.weights, w2=Fraction(7))
+    assert m.weights["w2"] == 2
+    assert entropy_vector(m) == vector
+
+
+def test_external_item_assignment_raises_on_every_model():
+    for model in (seeded_graph(3), seeded_hypergraph(3), ray15_link()):
+        external = dict(model.external)
+        with pytest.raises(TypeError):
+            model.external[1] = model.external[2]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.external = {}
+        assert model.external == external, type(model).__name__
+
+
+def test_models_copy_the_mappings_they_are_given():
+    # the caller's dicts stay the caller's: changing them later leaves the model as built
+    m = ray15_link()
+    weights, external = dict(m.weights), dict(m.external)
+    copy = LinkModel(m.loops, weights, external, m.structure)
+    weights["w2"], external[1] = Fraction(7), "B"
+    assert copy.weights == m.weights and copy.external == m.external
+    assert entropy_vector(copy) == entropy_vector(m)
+    g = seeded_graph(2)
+    external = dict(g.external)
+    models = (WeightedGraph(g.vertices, external, g.edges), Hypergraph(g.vertices, external, ()))
+    external[1] = external[2]
+    for model in models:
+        assert model.external == g.external, type(model).__name__

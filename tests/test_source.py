@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,3 +34,12 @@ def test_library_imports_only_the_standard_library():
             imported.add(node.module.split(".")[0])
     assert "fractions" in imported
     assert imported - sys.stdlib_module_names == set()
+
+
+def test_exported_dataclasses_are_frozen():
+    # models cache what they derive, so a type that could be mutated would
+    # answer stale; results are shared between calls, so they stay fixed too
+    exported = [getattr(linkcone, name) for name in linkcone.__all__]
+    classes = [obj for obj in exported if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+    assert {"WeightedGraph", "Hypergraph", "LinkModel", "ConnectivityTable"} <= {c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
