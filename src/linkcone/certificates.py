@@ -14,7 +14,9 @@ The partition and the indicator table depend only on the model and the
 inequality's LHS, so each is built once per model and LHS and cached on
 the model, with the support grouped for the per-tuple check.  A check
 then does only the work that depends on its map.  The partitions and
-tables returned are shared between calls and must not be mutated.
+tables returned are shared between calls, so their mappings (a
+partition's `cells` and `loop_trits`, a table's `coloring` and each of
+its per-term colorings) are read-only.
 
 All checks are instance-level: the indicator table depends on the chosen
 min-cuts of one specific model, so a passing certificate establishes the
@@ -23,10 +25,12 @@ inequality on that model, not on the whole model class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
-from .core import LinearInequality, Subsystem, subsystem_label
+from .core import LinearInequality, Subsystem, _store, subsystem_label
 from .links import (
     LinkModel,
     LoopCutResult,
@@ -58,11 +62,14 @@ class TritPartition:
     """Trit-string addressing of every loop relative to the LHS min-cuts."""
 
     length: int
-    cells: dict[Trits, frozenset[str]]
-    loop_trits: dict[str, Trits]
+    cells: Mapping[Trits, frozenset[str]]
+    loop_trits: Mapping[str, Trits]
     cuts: tuple[LoopCutResult, ...]
     # the loop mask of every cell, set by `build_trit_partition`
     _cell_masks: dict[Trits, int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _store(self, cells=MappingProxyType(dict(self.cells)), loop_trits=MappingProxyType(dict(self.loop_trits)))
 
     def cell_of(self, loop: str) -> Trits:
         return self.loop_trits[loop]
@@ -74,7 +81,7 @@ def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartit
     Trits are read off the loop masks of each min-cut and its interior, so
     the +1 cells of a term make up its interior and the 0 cells its cut.
     The partition is built once per model and LHS and then shared by every
-    later call, so callers must not mutate it.
+    later call, so its mappings are read-only.
     """
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
@@ -128,8 +135,12 @@ class OracularIndicatorTable:
 
     entries: tuple[IndicatorEntry, ...]
     support: frozenset[tuple[int, int, int, tuple[Trits, ...]]]
-    coloring: dict[int, dict[str, str]]
+    coloring: Mapping[int, Mapping[str, str]]
     partition: TritPartition
+
+    def __post_init__(self) -> None:
+        coloring = {l: MappingProxyType(dict(colors)) for l, colors in self.coloring.items()}
+        _store(self, coloring=MappingProxyType(coloring))
 
     def value(self, term_index: int, cover_size: int, bridge_size: int, cells: tuple[Trits, ...]) -> int:
         return 1 if (term_index, cover_size, bridge_size, cells) in self.support else 0
@@ -151,7 +162,7 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
     switches the indicator on for the covering cell tuple.  Any gray loop
     surviving the scan signals a non-minimal cut or an inconsistent
     structure.  Like the partition, the table is built once per model and
-    LHS and then shared, so callers must not mutate it.
+    LHS and then shared, so its colorings are read-only.
     """
     return _indicator(model, ineq, build_trit_partition(model, ineq))[0]
 

@@ -15,11 +15,16 @@ it everywhere: it folds rows into OR/AND accumulators, one per level in
 lexicographic index order, and stops at the first failing join.  The
 search walks increasing indices to depth k - 1 from a new string; OR and
 AND ignore repeated rows, so that covers every k-tuple it completes.
-The checkers walk nondecreasing indices to depth k, so they stop at the
-first failing k-tuple in ``combinations_with_replacement`` order: one
-row never fails (its mixed mask is 0), so a failing join (i1, ..., ij)
-with j < k has unequal indices and comes after the k-tuple (i1, ..., i1,
-i2, ..., ij), which has the same OR and AND.
+It decides pairs, the whole condition in graph mode, per position
+rather than per image: the images an assigned row admits form one
+bitset, the images within RHS weight d of 0 (the S_d table) translated
+by that row's image, so one AND per assigned row leaves the
+pair-compatible images, and the walk covers joins of three or more rows
+on those alone.  The checkers walk nondecreasing indices to depth k, so
+they stop at the first failing k-tuple in ``combinations_with_replacement``
+order: one row never fails (its mixed mask is 0), so a failing join
+(i1, ..., ij) with j < k has unequal indices and comes after the k-tuple
+(i1, ..., i1, i2, ..., ij), which has the same OR and AND.
 
 The searcher runs exhaustive backtracking with pruning, so an exhausted
 search certifies that no map exists.  A node budget guards instances
@@ -29,6 +34,7 @@ whose search space is astronomically large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .core import Bits, LinearInequality, occurrence_bitstrings, scale_of, scaled
@@ -161,6 +167,22 @@ def check_hypergraph_contraction(
     return _check(mapping, ineq, sorted(mapping), k, "indicator contraction violated")
 
 
+@cache
+def _image_tables(width: int) -> tuple[tuple[Bits, ...], tuple[int, ...], dict[int, int], tuple[int, ...]]:
+    """Every `width`-bit image in lex order, its mask, the lex index of each mask, and the block patterns.
+
+    Lex order reads the first coordinate as the highest bit, so an image's
+    lex index is its mask bit-reversed, and XOR of two images' indices is
+    the index of the XOR of their masks.  Over bitsets of lex indices,
+    `blocks[b]` selects the indices with bit b clear; swapping those with
+    their partners 2**b above translates the set by XOR with 2**b.
+    """
+    images = tuple(product((0, 1), repeat=width))
+    masks = tuple(_mask(y) for y in images)
+    blocks = tuple(sum(1 << j for j in range(len(images)) if not j >> b & 1) for b in range(width))
+    return images, masks, {m: j for j, m in enumerate(masks)}, blocks
+
+
 def search_contraction_map(
     ineq: LinearInequality,
     mode: str = "graph",
@@ -175,6 +197,15 @@ def search_contraction_map(
     first verified map, an exhaustion certificate, or a budget failure
     (each attempted assignment counts as one node).  Graph mode is the
     rank-2 search.
+
+    Pairs are decided per position, not per image: an assigned row (x', y')
+    admits exactly the images y with ``w_rhs[y ^ y'] <= w_lhs[x ^ x']``,
+    the set S_d (images within RHS weight d of 0) translated by y'.  The
+    AND of those bitsets over the assigned rows leaves the pair-compatible
+    images; for k > 2 the walk then decides the joins of three or more
+    rows on those alone.  The images in between still count as one node
+    each, in lex order, so node counts, depths, maps and budget stops are
+    those of trying every image in turn.
     """
     if mode not in ("graph", "hypergraph"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -187,8 +218,9 @@ def search_contraction_map(
     if fixed is None:
         return SearchResult(NOT_FOUND, note="occurrence bitstrings are contradictory")
     k = 2 if mode == "graph" else rank
+    w_lhs, w_rhs = _weight_tables(ineq)
     assigned: list[tuple[int, int]] = []  # (string mask, image mask) in assignment order
-    walk = _walker(assigned, *_weight_tables(ineq), repeat=False)
+    walk = _walker(assigned, w_lhs, w_rhs, repeat=False)
 
     # strings by Hamming weight, then lexicographically; the pre-seeded
     # fixed points must already be mutually consistent
@@ -202,9 +234,24 @@ def search_contraction_map(
         found[x] = fixed[x]
 
     free = [(x, _mask(x)) for x in order if x not in fixed]
-    images = [(y, _mask(y)) for y in product((0, 1), repeat=len(ineq.rhs))]
+    width = len(ineq.rhs)
+    images, masks, lex_of, blocks = _image_tables(width)
+    size = len(images)
+    within: dict[int, int] = {}  # d -> S_d as a bitset of lex indices
+    allowed_by: dict[int, int] = {}  # d << width | y' -> S_d translated by y'
     nodes = 0
     deepest = 0
+
+    def admitted(d: int, ym: int) -> int:
+        allowed = within.get(d)
+        if allowed is None:
+            allowed = within[d] = sum(1 << j for j in range(size) if w_rhs[masks[j]] <= d)
+        j = lex_of[ym]
+        for b, low in enumerate(blocks):
+            if j >> b & 1:
+                allowed = (allowed & low) << (1 << b) | allowed >> (1 << b) & low
+        allowed_by[d << width | ym] = allowed
+        return allowed
 
     def descend(pos: int) -> bool:
         nonlocal nodes, deepest
@@ -212,23 +259,40 @@ def search_contraction_map(
         if pos == len(free):
             return True
         x, xm = free[pos]
-        for y, ym in images:
-            nodes += 1
+        allowed = (1 << size) - 1
+        for x2, y2 in assigned:
+            d = w_lhs[xm ^ x2]
+            # never 0 when cached: S_d holds image 0, and a translation only permutes
+            allowed &= allowed_by.get(d << width | y2) or admitted(d, y2)
+            if not allowed:
+                break
+        tried = 0  # images before lex index `tried` have counted as nodes
+        while allowed:
+            j = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            nodes += j + 1 - tried
+            tried = j + 1
             if budget is not None and nodes > budget:
                 raise _BudgetExceeded
-            if walk(0, xm, xm, ym, ym, k - 1) is None:
-                assigned.append((xm, ym))
-                found[x] = y
-                if descend(pos + 1):
-                    return True
-                assigned.pop()
-                del found[x]
+            ym = masks[j]
+            if k > 2 and walk(0, xm, xm, ym, ym, k - 1) is not None:
+                continue
+            assigned.append((xm, ym))
+            found[x] = images[j]
+            if descend(pos + 1):
+                return True
+            assigned.pop()
+            del found[x]
+        nodes += size - tried
+        if budget is not None and nodes > budget:
+            raise _BudgetExceeded
         return False
 
     try:
         complete = descend(0)
     except _BudgetExceeded:
-        return SearchResult(BUDGET_EXCEEDED, nodes=nodes, depth=deepest)
+        # nodes count one at a time, so the first to exceed the budget is budget + 1
+        return SearchResult(BUDGET_EXCEEDED, nodes=budget + 1, depth=deepest)
     if not complete:
         return SearchResult(NOT_FOUND, nodes=nodes, depth=deepest)
     if not check_hypergraph_contraction(found, ineq, k).ok:

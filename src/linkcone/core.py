@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -68,6 +68,17 @@ def _store(obj, **attributes) -> None:
     """Set attributes on a frozen dataclass instance; `object.__setattr__` keeps attribute reads fast."""
     for name, value in attributes.items():
         object.__setattr__(obj, name, value)
+
+
+def _reduce(model):
+    """`__reduce__` of a frozen model: rebuild it from its public fields.
+
+    Read-only mappings go as plain dicts (a `MappingProxyType` does not
+    pickle), and caches such as `_cache` and `_network` stay behind, so a
+    copy starts cold, as one built by `dataclasses.replace` does.
+    """
+    values = (getattr(model, f.name) for f in fields(model) if f.init)
+    return type(model), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
 def _check_subsystem(subsystem, n: int) -> Subsystem:

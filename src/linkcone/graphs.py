@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Subsystem, _declared, _store, entropy_vector
+from .core import Subsystem, _declared, _reduce, _store, entropy_vector
 from .flow import CutNetwork
 from .hypergraphs import _cut_entropy
 
@@ -35,6 +35,8 @@ class WeightedGraph:
     external: Mapping[int, str]
     edges: tuple[tuple[str, str, Fraction], ...]
     _network: CutNetwork | None = field(default=None, init=False, repr=False, compare=False)
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         vertices, external, vertex_set = _declared(self.vertices, self.external, "vertex", "vertices")

@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Subsystem, _check_subsystem, _declared, _store, entropy_vector
+from .core import Subsystem, _check_subsystem, _declared, _reduce, _store, entropy_vector
 from .flow import CutNetwork
 
 
@@ -70,6 +70,8 @@ class Hypergraph:
     external: Mapping[int, str]
     hyperedges: tuple[tuple[frozenset[str], Fraction], ...]
     _network: CutNetwork | None = field(default=None, init=False, repr=False, compare=False)
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         vertices, external, vertex_set = _declared(self.vertices, self.external, "vertex", "vertices")

@@ -52,7 +52,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .core import (
-    Subsystem, _check_subsystem, _declared, _store, all_subsystems, entropy_vector, scale_of, scaled
+    Subsystem, _check_subsystem, _declared, _reduce, _store, all_subsystems, entropy_vector, scale_of, scaled
 )
 from .flow import CutNetwork
 from .hypergraphs import Hypergraph
@@ -64,6 +64,10 @@ class _Infinite:
     __slots__ = ()
 
     def __repr__(self) -> str:
+        return "INFINITE"
+
+    def __reduce__(self) -> str:
+        # pickle and copy by name, so `INFINITE` stays the one instance
         return "INFINITE"
 
 
@@ -100,6 +104,8 @@ class ConnectivityTable:
     """Explicit sublink partition for every loop subset."""
 
     blocks_by_subset: Mapping[frozenset[str], tuple[frozenset[str], ...]]
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks_by_subset", MappingProxyType(dict(self.blocks_by_subset)))
@@ -165,6 +171,8 @@ class LinkModel:
     external: Mapping[int, str]
     structure: AtomicLinkages | ConnectivityTable
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __reduce__ = _reduce
 
     def __post_init__(self) -> None:
         loops, external, loop_set = _declared(self.loops, self.external, "loop", "loops")

@@ -536,6 +536,27 @@ class TestCertificateCache:
         assert named and any(report.ok for report in expected)
         assert calls == ["subsystem_label"] * len(named)
 
+    def test_shared_results_are_read_only(self):
+        # a caller's mutation would reach every later caller of the cache, so it raises
+        m = ray15_link()
+        ineq = parse_inequality("S(AB) + S(C) >= S(ABC)", 5)
+        part = build_trit_partition(m, ineq)
+        table = compute_oracular_indicator(m, ineq)
+        cell = next(iter(part.cells))
+        with pytest.raises(TypeError):
+            del part.cells[cell]
+        with pytest.raises(TypeError):
+            part.loop_trits["w2"] = cell
+        with pytest.raises(AttributeError):  # a read-only mapping has no `clear`
+            table.coloring.clear()
+        with pytest.raises(TypeError):
+            del table.coloring[0]
+        with pytest.raises(TypeError):
+            table.coloring[0]["w2"] = "gray"
+        assert len(build_trit_partition(m, ineq).cells) == 5
+        assert compute_oracular_indicator(m, ineq).coloring
+        assert all(compute_oracular_indicator(m, ineq).coloring.values())
+
     def test_party_count_mismatch_raises_on_a_warm_cache(self):
         m = ray15_link()
         five = parse_inequality("S(A) + S(B) >= S(AB)", 5)

@@ -245,6 +245,12 @@ class TestMatchesReference:
                     side[sub] *= rng.choice(self.COEFFS)
             yield rng, LinearInequality(n, tuple(lhs.items()), tuple(rhs.items()))
 
+    @staticmethod
+    def _outcome(result):
+        # status, counters, note and the first map in assignment order
+        mapping = result.mapping and list(result.mapping.items())
+        return result.status, result.nodes, result.depth, result.note, mapping
+
     def test_search_matches_reference(self):
         statuses = set()
         for _, ineq in self._inequalities(3, 30):
@@ -263,6 +269,31 @@ class TestMatchesReference:
                 )
                 statuses.add(got.status)
         assert statuses == {FOUND, NOT_FOUND, BUDGET_EXCEEDED}
+
+    def test_budgets_at_the_tree_size_match_reference(self):
+        # the search counts skipped images in gaps, so pin the budget stop
+        # one node before, at, and one node after the whole tree
+        stops = set()
+        for _, ineq in self._inequalities(3, 30):
+            for mode, rank in (("graph", None), ("hypergraph", 3)):
+                whole = search_contraction_map(ineq, mode=mode, rank=rank, budget=80)
+                if whole.status == BUDGET_EXCEEDED:
+                    continue
+                for budget in (whole.nodes - 1, whole.nodes, whole.nodes + 1):
+                    if budget < 1:
+                        continue
+                    got = search_contraction_map(ineq, mode=mode, rank=rank, budget=budget)
+                    want = reference_search(ineq, mode=mode, rank=rank, budget=budget)
+                    assert self._outcome(got) == self._outcome(want), (ineq, mode, budget)
+                    stops.add((got.status, budget - whole.nodes))
+        assert {(BUDGET_EXCEEDED, -1), (FOUND, 0), (NOT_FOUND, 0), (FOUND, 1), (NOT_FOUND, 1)} <= stops
+
+    def test_rank_2_hypergraph_search_is_graph_search(self):
+        for _, ineq in self._inequalities(5, 30):
+            for budget in (None, 40):
+                graph = search_contraction_map(ineq, mode="graph", budget=budget)
+                rank2 = search_contraction_map(ineq, mode="hypergraph", rank=2, budget=budget)
+                assert self._outcome(rank2) == self._outcome(graph)
 
     def test_checkers_match_reference_on_random_maps(self):
         verdicts = set()

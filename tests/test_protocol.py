@@ -1,6 +1,8 @@
 """One model protocol: `n`, `entropy(subsystem)` and `entropy_vector(model)` for every kind."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from linkcone.generate import generate_graph, generate_hypergraph, generate_link
 from linkcone.graphs import WeightedGraph, graph_entropy, graph_entropy_vector
 from linkcone.hypergraphs import Hypergraph, hypergraph_entropy, hypergraph_entropy_vector
 from linkcone.links import (
+    INFINITE,
     LinkModel,
     hypergraph_to_link,
     link_entropy,
@@ -20,8 +23,10 @@ from linkcone.links import (
     link_min_cut,
     ray15_link,
 )
+from linkcone.modelio import dumps_json, model_to_json
 
 from oracles import bipartition_graph_mincut, exhaustive_hypergraph_entropy
+from test_links import held_table_model
 
 FRACTIONAL = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(1))
 INEQUALITIES = {
@@ -199,3 +204,27 @@ def test_models_copy_the_mappings_they_are_given():
     external[1] = external[2]
     for model in models:
         assert model.external == g.external, type(model).__name__
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda model: pickle.loads(pickle.dumps(model)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_models_pickle_and_deep_copy(clone):
+    # a copy is rebuilt from the public fields and starts with an empty cache
+    models = (
+        seeded_graph(3),
+        seeded_hypergraph(3),
+        generate_link_model(3, loops=9, atoms=5, max_arity=3, seed=3),
+        hypergraph_to_link(seeded_hypergraph(4)),  # infinite weights
+        held_table_model(3),
+    )
+    for model in models:
+        vector = entropy_vector(model)
+        again = clone(model)
+        assert type(again) is type(model)
+        assert getattr(again, "_cache", {}) == {} and getattr(again, "_network", None) is None
+        assert entropy_vector(again) == vector, type(model).__name__
+        assert dumps_json(model_to_json(again)) == dumps_json(model_to_json(model))
+    link = clone(models[3])
+    assert any(w is INFINITE for w in link.weights.values())
+    assert clone(models[4].structure).blocks_by_subset == models[4].structure.blocks_by_subset
