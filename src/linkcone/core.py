@@ -31,6 +31,8 @@ from types import MappingProxyType
 Subsystem = frozenset[int]
 Bits = tuple[int, ...]
 
+_PARTY_INDEX = {letter: i for i, letter in enumerate(string.ascii_uppercase, 1)}
+_ONE = Fraction(1)
 _TERM_RE = re.compile(r"^\s*(?:(\d+(?:\s*/\s*\d+)?)\s+|(\d+(?:\s*/\s*\d+)?)\s*\*\s*)?S\(\s*([A-Z]+)\s*\)\s*$")
 
 
@@ -98,9 +100,9 @@ def party_letter(index: int) -> str:
 
 def party_index(letter: str, n: int) -> int:
     """Party index for a letter, restricted to the n genuine parties."""
-    if len(letter) != 1 or letter not in string.ascii_uppercase:
+    idx = _PARTY_INDEX.get(letter)
+    if idx is None:
         raise InequalityParseError(f"invalid party letter {letter!r}")
-    idx = string.ascii_uppercase.index(letter) + 1
     if idx > n:
         raise InequalityParseError(f"party letter {letter!r} outside the {n} declared parties")
     return idx
@@ -180,12 +182,13 @@ class LinearInequality:
     rhs: tuple[tuple[Subsystem, Fraction], ...]
 
     def __post_init__(self) -> None:
+        parties = set(range(1, self.n + 1))
         for side_name, side in (("lhs", self.lhs), ("rhs", self.rhs)):
             if not side:
                 raise ValueError(f"{side_name} must contain at least one term")
             seen: set[Subsystem] = set()
             for subsystem, coeff in side:
-                if not subsystem or not subsystem <= set(range(1, self.n + 1)):
+                if not subsystem or not subsystem <= parties:
                     raise ValueError(f"bad subsystem {set(subsystem)} for n={self.n}")
                 if coeff <= 0:
                     raise ValueError("coefficients must be strictly positive")
@@ -221,7 +224,10 @@ def _parse_side(text: str, n: int, side_name: str) -> tuple[tuple[Subsystem, Fra
         if match is None:
             raise InequalityParseError(f"malformed term {piece.strip()!r}")
         coeff_text = match.group(1) or match.group(2)
-        coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else _ONE
+        except ZeroDivisionError:
+            raise InequalityParseError(f"zero denominator in term {piece.strip()!r}") from None
         if coeff <= 0:
             raise InequalityParseError(f"nonpositive coefficient in term {piece.strip()!r}")
         subsystem = subsystem_from_letters(match.group(3), n)

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from linkcone import contraction
 from linkcone.contraction import (
     BUDGET_EXCEEDED,
     FOUND,
     NOT_FOUND,
+    _fixed_points,
+    _strings,
     check_graph_contraction,
     check_hypergraph_contraction,
     search_contraction_map,
@@ -26,7 +29,13 @@ from linkcone.generate import generate_graph, generate_hypergraph
 from linkcone.graphs import graph_entropy_vector
 from linkcone.hypergraphs import hypergraph_entropy_vector
 
-from oracles import reference_graph_check, reference_hypergraph_check, reference_search
+from oracles import (
+    _all_bitstrings,
+    _fixed_points as reference_fixed_points,
+    reference_graph_check,
+    reference_hypergraph_check,
+    reference_search,
+)
 
 SA = parse_inequality("S(A) + S(B) >= S(AB)", 2)
 SSA = parse_inequality("S(AB) + S(BC) >= S(B) + S(ABC)", 3)
@@ -192,6 +201,13 @@ class TestSearch:
             result = search_contraction_map(swapped, mode=mode, rank=rank, budget=budget)
             assert (result.status, result.nodes, result.depth) == (BUDGET_EXCEEDED, *expected), mode
 
+    def test_recheck_rejects_a_map_the_pair_tables_let_through(self, monkeypatch):
+        # with every image admitted at every position, the graph search returns
+        # the first total map for MMI, and the re-check's full walk rejects it
+        monkeypatch.setattr(contraction, "bisect_right", lambda weights, d: len(weights))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            search_contraction_map(MMI, mode="graph")
+
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             search_contraction_map(SA, mode="graph", budget=0)
@@ -314,6 +330,72 @@ class TestMatchesReference:
                     verdicts.add(got.reason)
         assert {None, "norm contraction violated", "indicator contraction violated"} <= verdicts
         assert any(reason and "fixed point" in reason for reason in verdicts)
+
+    def test_checkers_match_reference_on_malformed_maps(self):
+        # the checkers look images up by mask; what they accept, the keys
+        # they report and the errors they raise stay the reference's
+        def outcome(check, *args):
+            try:
+                return repr(check(*args))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        seen = set()
+        for rng, ineq in self._inequalities(13, 40):
+            fixed = dict(zip(*occurrence_bitstrings(ineq)))
+            strings = list(itertools.product((0, 1), repeat=len(ineq.lhs)))
+            rng.shuffle(strings)
+            base = {x: fixed.get(x, tuple(rng.randint(0, 1) for _ in ineq.rhs)) for x in strings}
+            x0 = next((x for x in strings if x not in fixed), strings[0])
+            x1 = next(iter(fixed))
+            variants = {
+                "list images": {x: y if x in fixed else list(y) for x, y in base.items()},
+                "a list at a fixed point": {**base, x1: list(base[x1])},
+                "bool bits": {tuple(map(bool, x)): tuple(map(bool, y)) for x, y in base.items()},
+                "a 2 bit": {**base, x0: (2, *base[x0][1:])},
+                "a short image": {**base, x0: base[x0][:-1]},
+                "a key outside": {**base, (0,) * (len(ineq.lhs) + 1): base[x0]},
+                "an unhashable bit": {**base, x0: ([0], *base[x0][1:])},
+            }
+            for name, mapping in variants.items():
+                got = outcome(check_graph_contraction, mapping, ineq)
+                assert got == outcome(reference_graph_check, mapping, ineq), (name, ineq)
+                seen.add((name, got.split("(")[0].split(":")[0]))
+                for k in (2, 3, 4):
+                    got = outcome(check_hypergraph_contraction, mapping, ineq, k)
+                    assert got == outcome(reference_hypergraph_check, mapping, ineq, k), (name, ineq, k)
+        for name in ("list images", "a list at a fixed point", "bool bits"):
+            assert (name, "ContractionReport") in seen
+        for name in ("a 2 bit", "a short image", "a key outside", "an unhashable bit"):
+            assert (name, "ValueError") in seen
+
+
+class TestTables:
+    """The per-length tables and the mask fixed points against the tuple-built reference."""
+
+    def test_domain_order_is_weight_then_lex(self):
+        for length in range(1, 9):
+            strings = _strings(length)
+            assert strings.bits == tuple(itertools.product((0, 1), repeat=length))
+            assert all(strings.mask_of[x] == m for m, x in enumerate(strings.bits))
+            assert [strings.bits[m] for m in strings.order] == _all_bitstrings(length)
+
+    def test_fixed_points_match_occurrence_bitstrings(self):
+        # two parties, or a party and the purifier, with one LHS string and two RHS strings
+        contradictions = ("S(AB) >= S(A)", "S(AB) + S(C) >= S(A) + S(BC)", "S(A) + S(B) >= S(AB) + S(C)")
+        inequalities = [SA, SSA, MMI, SEPARATING] + [parse_inequality(text, 3) for text in contradictions]
+        for seed, count in ((3, 30), (5, 30), (9, 60)):
+            inequalities += [ineq for _, ineq in TestMatchesReference()._inequalities(seed, count)]
+        contradictory = 0
+        for ineq in inequalities:
+            got, want = _fixed_points(ineq), reference_fixed_points(ineq)
+            if want is None:
+                assert got is None
+                contradictory += 1
+                continue
+            strings, images = _strings(len(ineq.lhs)), _strings(len(ineq.rhs))
+            assert [(strings.bits[x], images.bits[y]) for x, y in got.items()] == list(want.items())
+        assert contradictory == len(contradictions)
 
 
 class TestMmiRankThreeContractionExists:

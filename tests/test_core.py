@@ -61,6 +61,11 @@ class TestParsing:
             with pytest.raises(InequalityParseError):
                 parse_inequality(text, 3)
 
+    def test_zero_denominator_is_a_parse_error(self):
+        for text in ("1/0 S(A) + S(B) >= S(AB)", "S(A) + S(B) >= 0/0 * S(AB)"):
+            with pytest.raises(InequalityParseError, match="zero denominator"):
+                parse_inequality(text, 2)
+
     def test_duplicate_terms_merge(self):
         ineq = parse_inequality("S(A) + 2 S(A) >= S(AB)", 2)
         assert ineq.lhs == ((frozenset({1}), 3),)

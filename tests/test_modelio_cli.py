@@ -367,6 +367,15 @@ class TestCli:
         assert main(["find-contraction", "--ineq", ineq]) == 2
         assert capsys.readouterr().err.startswith("parse error:")
 
+    @pytest.mark.parametrize("argv", [["find-contraction"], ["check-ineq", "--builtin", "ray15"]])
+    def test_zero_denominator_is_parse_error(self, tmp_path, capsys, argv):
+        # exit 1 would read as "violated"
+        ineq = write(tmp_path, "zero.txt", "1/0 S(A) + S(B) >= S(AB)")
+        assert main([*argv, "--ineq", ineq]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: zero denominator")
+
     @pytest.mark.parametrize(
         "options",
         [
