@@ -8,7 +8,10 @@ loop set.  A trit-string map then assembles candidate RHS cuts out of
 cells, and a bridge-driven indicator table supplies the combinatorial
 inequality that has to hold tuple by tuple.  Inside, an RHS cut is the
 OR of its zero cells' loop masks, and one `links._interior` call gives
-its validity and every other cell's sign.
+its validity and every other cell's sign.  Crediting works on masks too:
+a minimal bridge is a loop mask, its AND with the min-cut mask must hold
+one loop, and the gray loops left are a mask; loop names are built only
+for the table's entries and colorings and for error messages.
 
 The partition and the indicator table depend only on the model and the
 inequality's LHS, so each is built once per model and LHS and cached on
@@ -35,6 +38,7 @@ from .links import (
     LinkModel,
     LoopCutResult,
     StratificationError,
+    _bridges,
     _check_cut,
     _indices,
     _interior,
@@ -43,7 +47,6 @@ from .links import (
     _names_of,
     _subsystem_externals,
     link_min_cut,
-    minimal_bridges,
 )
 
 Trits = tuple[int, ...]
@@ -146,13 +149,6 @@ class OracularIndicatorTable:
         return 1 if (term_index, cover_size, bridge_size, cells) in self.support else 0
 
 
-def _bridge_cells(partition: TritPartition, bridge: frozenset[str], loop: str) -> tuple[Trits, ...]:
-    """Canonical cell tuple covering a bridge: the credited loop's cell first, rest sorted."""
-    head = partition.cell_of(loop)
-    rest = sorted({partition.cell_of(x) for x in bridge} - {head})
-    return (head, *rest)
-
-
 def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> OracularIndicatorTable:
     """Credit every min-cut loop of every LHS term through its minimal bridges.
 
@@ -194,35 +190,31 @@ def _indicator(
 
 def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPartition) -> OracularIndicatorTable:
     """The crediting scan of `compute_oracular_indicator` over an already built partition."""
+    trits = [partition.loop_trits[loop] for loop in model.loops]
     entries: list[IndicatorEntry] = []
     coloring: dict[int, dict[str, str]] = {}
     for l, subsystem in enumerate(ineq.lhs_subsystems):
-        cut = partition.cuts[l]
-        gray = set(cut.cut)
+        gray = cut = _min_cut(model, subsystem)[1]
         # in declaration order, so the coloring's key order ignores PYTHONHASHSEED
-        colors = {model.loops[i]: "gray" for i in _indices(_min_cut(model, subsystem)[1])}
+        colors = {model.loops[i]: "gray" for i in _indices(cut)}
         scheduled = []
-        for bridge in minimal_bridges(model, subsystem):
-            hit = bridge & cut.cut
-            if len(hit) != 1:
+        for bridge in _bridges(model, subsystem):
+            hit = bridge & cut
+            if not hit or hit & (hit - 1):
                 raise StratificationError(
-                    f"minimal bridge {sorted(bridge)} meets the min-cut of "
-                    f"{subsystem_label(subsystem)} in {len(hit)} loops"
+                    f"minimal bridge {sorted(_names_of(model, bridge))} meets the min-cut of "
+                    f"{subsystem_label(subsystem)} in {hit.bit_count()} loops"
                 )
-            loop = next(iter(hit))
-            cells = _bridge_cells(partition, bridge, loop)
-            order_key = (
-                len(bridge),
-                len(cells),
-                cells,
-                tuple(sorted(model.loop_index(x) for x in bridge)),
-            )
-            scheduled.append((order_key, bridge, loop, cells))
+            indices = _indices(bridge)
+            head = trits[hit.bit_length() - 1]
+            cells = (head, *sorted({trits[i] for i in indices} - {head}))
+            scheduled.append(((len(indices), len(cells), cells, indices), bridge, hit, cells))
         credited_weight = Fraction(0)
-        for order_key, bridge, loop, cells in sorted(scheduled):
-            if loop not in gray:
+        for _, bridge, hit, cells in sorted(scheduled):
+            if not gray & hit:
                 continue
-            gray.remove(loop)
+            gray ^= hit
+            loop = model.loops[hit.bit_length() - 1]
             colors[loop] = "green"
             credited_weight += Fraction(model.weights[loop])
             head = cells[0]
@@ -233,33 +225,17 @@ def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPar
                 raise RuntimeError("covering cells must avoid the cut coordinate")
             if not (1 in signs and -1 in signs):
                 raise RuntimeError("a bridge must reach both interior and exterior")
-            entries.append(
-                IndicatorEntry(
-                    term_index=l,
-                    cover_size=len(cells),
-                    bridge_size=len(bridge),
-                    cells=cells,
-                    loop=loop,
-                    bridge=bridge,
-                )
-            )
+            entries.append(IndicatorEntry(l, len(cells), bridge.bit_count(), cells, loop, _names_of(model, bridge)))
         if gray:
             raise StratificationError(
-                f"min-cut loops {sorted(gray)} of {subsystem_label(subsystem)} "
+                f"min-cut loops {sorted(_names_of(model, gray))} of {subsystem_label(subsystem)} "
                 "were never credited by any minimal bridge"
             )
-        if credited_weight != cut.weight:
+        if credited_weight != partition.cuts[l].weight:
             raise RuntimeError("credited loop weights must add up to the cut weight")
         coloring[l] = colors
-    support = frozenset(
-        (e.term_index, e.cover_size, e.bridge_size, e.cells) for e in entries
-    )
-    return OracularIndicatorTable(
-        entries=tuple(entries),
-        support=support,
-        coloring=coloring,
-        partition=partition,
-    )
+    support = frozenset((e.term_index, e.cover_size, e.bridge_size, e.cells) for e in entries)
+    return OracularIndicatorTable(entries=tuple(entries), support=support, coloring=coloring, partition=partition)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ computes an entry twice) and returned shared: do not mutate them.
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure is converted once, at construction, and every
 connectivity question goes through `_blocks`, every cut side through
-`_interior`.  The min-cut search, bridges and certificate checks keep
-these masks; frozensets of loop names appear only in public arguments
-and return values.  Irreducible sublinks
-of an atom structure are grown as chained unions of atoms, so bridges
-never need a scan over every loop subset.
+`_interior`.  The min-cut search, bridges, bridge crediting and
+certificate checks keep these masks; frozensets of loop names appear
+only in public arguments and return values and in error messages.
+Irreducible sublinks of an atom structure are grown as chained unions of
+atoms, so bridges never need a scan over every loop subset.
 
 When every atom is a pair of loops, linking is plain adjacency and a
 minimum loop cut is a minimum vertex separator: `link_min_cut` solves it
@@ -122,7 +122,8 @@ def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable
 
     Subsets are visited by size, each after all its single-loop deletions,
     which are tried in declaration order.  They suffice for monotonicity:
-    refinement is transitive, so any chain of deletions inherits it.
+    refinement is transitive, so any chain of deletions inherits it.  An
+    entry for anything but a subset of the loops is a ValueError.
     """
     if len(loops) > 14:
         raise ValueError("connectivity tables are supported for at most 14 loops")
@@ -150,6 +151,12 @@ def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable
                     raise MonotonicityError(
                         f"deleting {loops[i]!r} from {sorted(subset)} links previously unlinked loops"
                     )
+    # every subset has been looked up, so a further entry names no subset
+    if len(table.blocks_by_subset) > len(masks):
+        raise ValueError(
+            f"connectivity table has {len(table.blocks_by_subset)} entries, "
+            f"more than the {len(masks)} subsets of its loops"
+        )
     return masks
 
 
@@ -627,14 +634,16 @@ def bridge_oracle(model: LinkModel, subsystem: Subsystem, candidate) -> bool:
     16-loop cap of the irreducible family applies; unknown loop names
     raise ValueError.
     """
-    candidate = frozenset(candidate)
-    _mask_of(model, candidate)
-    return candidate in minimal_bridges(model, subsystem)
+    return _mask_of(model, candidate) in _bridges(model, frozenset(subsystem))
 
 
 def minimal_bridges(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[str], ...]:
     """Every minimal bridge across the subsystem's min-cut, sorted by size then indices."""
-    subsystem = frozenset(subsystem)
+    return tuple(_names_of(model, b) for b in _bridges(model, frozenset(subsystem)))
+
+
+def _bridges(model: LinkModel, subsystem: Subsystem) -> tuple[int, ...]:
+    """Masks of the minimal bridges of `minimal_bridges`, cached per subsystem."""
     cached = model._cache.get(("bridges", subsystem))
     if cached is not None:
         return cached
@@ -645,8 +654,7 @@ def minimal_bridges(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[s
     for b in _irreducible_family(model):
         if b & interior and b & exterior and b & removed and all(m & ~b for m in minimal):
             minimal.append(b)
-    result = tuple(_names_of(model, b) for b in minimal)
-    model._cache[("bridges", subsystem)] = result
+    result = model._cache[("bridges", subsystem)] = tuple(minimal)
     return result
 
 
@@ -659,10 +667,9 @@ def has_single_crossing_bridges(model: LinkModel) -> bool:
     scheme that pays one loop per bridge can account for.
     """
     for subsystem in all_subsystems(model.n):
-        cut = link_min_cut(model, subsystem)
-        for bridge in minimal_bridges(model, subsystem):
-            if len(bridge & cut.cut) != 1:
-                return False
+        cut = _min_cut(model, subsystem)[1]
+        if any((b & cut).bit_count() != 1 for b in _bridges(model, subsystem)):
+            return False
     return True
 
 
@@ -695,19 +702,21 @@ def k_loop_stratification(model: LinkModel, subsystem: Subsystem) -> dict[str, i
 
     The strata partition the min-cut; a cut loop outside every minimal
     bridge signals a non-minimal cut or an inconsistent structure.
+    Loops appear in the order their first bridge reaches them, a
+    bridge's cut loops in declaration order.
     """
     subsystem = frozenset(subsystem)
-    cut = link_min_cut(model, subsystem)
-    strata: dict[str, int] = {}
-    for bridge in minimal_bridges(model, subsystem):
-        for loop in bridge & cut.cut:
-            strata.setdefault(loop, len(bridge))
-    missing = cut.cut - set(strata)
+    cut = _min_cut(model, subsystem)[1]
+    strata: dict[int, int] = {}
+    for bridge in _bridges(model, subsystem):
+        for i in _indices(bridge & cut):
+            strata.setdefault(i, bridge.bit_count())
+    missing = sorted(model.loops[i] for i in _indices(cut) if i not in strata)
     if missing:
         raise StratificationError(
-            f"min-cut loops {sorted(missing)} for subsystem {sorted(subsystem)} lie in no minimal bridge"
+            f"min-cut loops {missing} for subsystem {sorted(subsystem)} lie in no minimal bridge"
         )
-    return strata
+    return {model.loops[i]: size for i, size in strata.items()}
 
 
 # ---------------------------------------------------------------------------

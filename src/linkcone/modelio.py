@@ -96,7 +96,8 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
     """Build a model from its JSON object, rejecting anything off the schema.
 
     Vertex, loop, edge, member, atom and block lists must be JSON lists
-    and every name a string; anything else is a `ModelFileError`.
+    and every name a string, and each connectivity-table key must name a
+    distinct subset of the loops; anything else is a `ModelFileError`.
     """
     if not isinstance(obj, dict):
         raise ModelFileError("model file must contain a JSON object")
@@ -132,7 +133,12 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
             elif "table" in structure_obj:
                 table = {}
                 for key, blocks in _object(structure_obj["table"], "connectivity table").items():
-                    subset = frozenset(x for x in key.split(",") if x)
+                    parts = key.split(",") if key else []
+                    if "" in parts:
+                        raise ModelFileError(f"connectivity table key {key!r} has an empty loop name")
+                    subset = frozenset(parts)
+                    if subset in table:
+                        raise ModelFileError(f"connectivity table key {key!r} names a subset already named")
                     table[subset] = tuple(frozenset(_names(b, "a block")) for b in _list(blocks, "table blocks"))
                 structure = ConnectivityTable(table)
             else:

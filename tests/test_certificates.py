@@ -358,6 +358,10 @@ class TestCertificateCheck:
 class TestCheckMatchesReference:
     """The tabulated per-tuple check reports exactly what the summing reference reports."""
 
+    @staticmethod
+    def _reference_indicator(model, ineq):
+        return reference_credit_bridges(model, ineq, reference_build_trit_partition(model, ineq))
+
     INEQS = {
         2: ["S(A) + S(B) >= S(AB)", "1/2 S(A) + 3 S(B) >= 3/2 S(AB)", "S(A) + S(B) >= 2 S(AB)",
             "2/3 S(A) + 2/3 S(B) >= S(AB)"],
@@ -438,6 +442,32 @@ class TestCheckMatchesReference:
                     assert outcome[0] == outcome[1]
                     outcomes.add("map" if isinstance(outcome[0], dict) else outcome[0][0].__name__)
         assert outcomes == {"map", "CertificateError", "InconsistentAssignment"}
+
+    def test_indicator_matches_reference_on_irregular_models(self):
+        # models that are not bridge-regular: a bridge may cross a min-cut
+        # twice, and with zero weights a cut loop may lie in no minimal
+        # bridge; either error must read as the reference's
+        outcomes = set()
+        for seed in range(40):
+            parties = 2 + seed % 2
+            spec = dict(loops=7 + seed % 5, atoms=3 + seed % 5, max_arity=2 + seed % 3, seed=seed)
+            weights = (0, 1, 2) if seed % 2 else (1, 2, 3, 4)
+            try:
+                m = generate_link_model(parties, weight_choices=weights, **spec)
+            except ValueError:  # too few candidate atoms for the spec
+                continue
+            for text in self.INEQS[parties]:
+                ineq = parse_inequality(text, parties)
+                outcome = []
+                for credit in (compute_oracular_indicator, self._reference_indicator):
+                    try:
+                        outcome.append(credit(m, ineq))
+                    except (ValueError, RuntimeError) as exc:
+                        outcome.append((type(exc), str(exc)))
+                assert outcome[0] == outcome[1], (seed, text)
+                # an error message starts "minimal bridge" or "min-cut loops"
+                outcomes.add(outcome[0][1].split()[0] if isinstance(outcome[0], tuple) else "table")
+        assert outcomes == {"table", "minimal", "min-cut"}
 
 
 def series_crossing_model() -> LinkModel:
@@ -535,6 +565,22 @@ class TestCertificateCache:
         named = [report for report in expected if "RHS term" in (report.reason or "")]
         assert named and any(report.ok for report in expected)
         assert calls == ["subsystem_label"] * len(named)
+
+    def test_crediting_does_no_name_work(self, monkeypatch):
+        # with the partition (and so the LHS min-cuts) built, a cold crediting
+        # works on loop masks: bridges, cut hits, order keys and gray loops
+        m, shadow = (generate_bridge_regular_link_model(3, loops=10, atoms=6, max_arity=4, seed=2) for _ in range(2))
+        ineq = parse_inequality("S(AB) + S(BC) >= S(B) + S(ABC)", 3)
+        part = build_trit_partition(m, ineq)
+        expected = TestCheckMatchesReference._reference_indicator(shadow, ineq)
+        calls = []
+        for owner, name in ((links, "_mask_of"), (LinkModel, "loop_index")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        table = compute_oracular_indicator(m, ineq)
+        assert table.partition is part and table.entries
+        assert table == expected
+        assert calls == []
 
     def test_shared_results_are_read_only(self):
         # a caller's mutation would reach every later caller of the cache, so it raises

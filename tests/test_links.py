@@ -288,6 +288,10 @@ class TestConnectivityTable:
              ValueError, "blocks for subset ['a', 'c'] do not partition it"),
             (lambda t: validate_connectivity_table(tuple("abcd"), t._singletons(**t._UNMONOTONE)),
              MonotonicityError, "deleting 'c' from ['a', 'b', 'c', 'd'] links previously unlinked loops"),
+            (lambda t: LinkModel(tuple("abcd"), dict.fromkeys("abcd", 1), {1: "a", 2: "b"}, t._singletons(e=["e"])),
+             ValueError, "connectivity table has 17 entries, more than the 16 subsets of its loops"),
+            (lambda t: validate_connectivity_table(tuple("abc"), t._singletons()),
+             ValueError, "connectivity table has 16 entries, more than the 8 subsets of its loops"),
             (lambda t: AtomicLinkages((frozenset({"a"}),)), ValueError, "atoms must contain at least two loops"),
         ],
     )
@@ -780,6 +784,27 @@ class TestIrreducibleAndBridges:
     def test_hub_sits_in_irreducible_quads(self):
         assert is_irreducible(ray15_link(), {"A", "B", "u1", "w2"})
 
+    def test_bridge_functions_refuse_more_than_16_loops(self):
+        # the irreducible family behind every bridge function is capped at
+        # 16 loops, while the min-cut search has no such cap
+        from linkcone.certificates import compute_oracular_indicator
+
+        m = generate_link_model(2, 17, 9, 3, seed=3)
+        assert len(m.loops) == 17
+        assert [link_min_cut(m, sub).weight for sub in all_subsystems(2)] == [1, 1, 1]
+        a = frozenset({1})
+        calls = [
+            lambda: minimal_bridges(m, a),
+            lambda: bridge_oracle(m, a, {"A", "u0"}),
+            lambda: k_loop_stratification(m, a),
+            lambda: has_single_crossing_bridges(m),
+            lambda: compute_oracular_indicator(m, parse_inequality("S(A) + S(B) >= S(AB)", 2)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "irreducible-sublink enumeration is supported for at most 16 loops"
+
 
 class TestStratification:
     def test_ray15_bcd(self):
@@ -805,6 +830,25 @@ class TestStratification:
                 strata = k_loop_stratification(m, sub)
                 assert set(strata) == set(cut.cut)
                 assert all(k >= 3 for k in strata.values())
+
+    def test_strata_order_ignores_hash_seed(self):
+        # the first minimal bridge of B meets its min-cut in u3, the second in
+        # u0 and u2 together, which then follow in declaration order
+        script = (
+            "from linkcone.generate import generate_link_model\n"
+            "from linkcone.links import k_loop_stratification\n"
+            "m = generate_link_model(2, 11, 7, 4, seed=104, weight_choices=(0, 1, 2))\n"
+            "print(k_loop_stratification(m, {2}))\n"
+        )
+        src = str(Path(linkcone.__file__).parent.parent)
+        orders = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            orders.add(proc.stdout)
+        assert orders == {"{'u3': 3, 'u0': 5, 'u2': 5}\n"}
+
 
 class TestLinkLikeBoundaries:
     """Declared structures that no genuine link could realize, pinned as examples.

@@ -102,6 +102,41 @@ class TestModelIO:
         emitted = dumps_json(model_to_json(model))
         assert dumps_json(model_to_json(model_from_json(json.loads(emitted)))) == emitted
 
+    # a two-loop table, with the extra keys of each case added to its four
+    TABLE = {"": [], "a": [["a"]], "b": [["b"]], "a,b": [["a", "b"]]}
+
+    @classmethod
+    def _table_model(cls, **extra):
+        return {
+            "kind": "link",
+            "loops": ["a", "b"],
+            "weights": {"a": 1, "b": 1},
+            "external": {"A": "a", "B": "b"},
+            "structure": {"table": {**cls.TABLE, **extra}},
+        }
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"zz": [["zz"]]}, "invalid link file: connectivity table has 5 entries, more than the 4 subsets of its loops"),
+            ({"b,a": [["a"], ["b"]]}, "connectivity table key 'b,a' names a subset already named"),
+            ({",a": [["a"]]}, "connectivity table key ',a' has an empty loop name"),
+            ({"a,": [["a"]]}, "connectivity table key 'a,' has an empty loop name"),
+            ({",": []}, "connectivity table key ',' has an empty loop name"),
+        ],
+    )
+    def test_table_keys_name_distinct_subsets(self, tmp_path, capsys, extra, message):
+        # each key names one subset of the loops, once: an extra or repeated
+        # subset would otherwise load, and the last entry would silently win
+        obj = self._table_model(**extra)
+        with pytest.raises(ModelFileError) as raised:
+            model_from_json(obj)
+        assert str(raised.value) == message
+        assert main(["entropy", "--model", write(tmp_path, "table.json", obj), "--subsystem", "A"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
     def test_bit_map_round_trip(self):
         mapping = {(0, 0): (0,), (1, 0): (1,), (0, 1): (1,), (1, 1): (1,)}
         assert bit_map_from_json(bit_map_to_json(mapping)) == mapping
@@ -191,6 +226,26 @@ class TestCli:
         code = main(["check-ineq", "--model", model, "--ineq", ineq])
         assert code == 1
         assert "violated 3 < 4" in capsys.readouterr().out
+
+    def test_certificate_check_refuses_more_than_16_loops(self, tmp_path, capsys):
+        # check 1 passes on the union-cut map; the indicator table behind
+        # check 2 needs the irreducible family, capped at 16 loops
+        from linkcone.certificates import build_trit_partition, derive_rhs_assignment, union_cut_zero_assignment
+        from linkcone.core import parse_inequality
+
+        link = generate_link_model(2, 17, 9, 3, seed=3)
+        ineq = parse_inequality("S(A) + S(B) >= S(AB)", 2)
+        partition = build_trit_partition(link, ineq)
+        cmap = derive_rhs_assignment(link, ineq, union_cut_zero_assignment(partition), partition)
+        argv = [
+            "check-ineq", "--model", write(tmp_path, "big.json", model_to_json(link)),
+            "--ineq", write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)"),
+            "--method", "certificate", "--map", write(tmp_path, "cert.json", trit_map_to_json(cmap)),
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: irreducible-sublink enumeration is supported for at most 16 loops\n"
 
     def test_check_ineq_certificate_failure_reported(self, tmp_path, capsys):
         # a map sending every cell to +1 cannot give a valid RHS cut
