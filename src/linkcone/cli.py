@@ -61,24 +61,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _builtin(name):
+    if name not in BUILTINS:
+        raise _UsageError(f"unknown builtin {name!r}")
+    return BUILTINS[name]()
+
+
 def _resolve_model(args):
     if getattr(args, "builtin", None):
-        if args.builtin not in BUILTINS:
-            raise _UsageError(f"unknown builtin {args.builtin!r}")
-        model = BUILTINS[args.builtin]()
+        model = _builtin(args.builtin)
         return model, text_digest(dumps_json(model_to_json(model)))
     if not getattr(args, "model", None):
         raise _UsageError("one of --model or --builtin is required")
     return load_model_with_digest(args.model)
 
 
-def _emit(text_or_obj, out_path, stream=None):
-    payload = text_or_obj if isinstance(text_or_obj, str) else dumps_json(text_or_obj)
+def _emit(obj, out_path):
+    payload = dumps_json(obj)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
-        (stream or sys.stdout).write(payload)
+        sys.stdout.write(payload)
 
 
 def _cmd_entropy(args) -> int:
@@ -203,9 +207,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.builtin:
-        if args.builtin not in BUILTINS:
-            raise _UsageError(f"unknown builtin {args.builtin!r}")
-        _emit(model_to_json(BUILTINS[args.builtin]()), args.out)
+        _emit(model_to_json(_builtin(args.builtin)), args.out)
         return EXIT_OK
     if args.kind != "link":
         raise _UsageError("only --kind link is supported")

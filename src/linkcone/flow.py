@@ -11,58 +11,14 @@ flow on the copy, so no arc is added after the build.
 Arcs come in pairs: arc `e` and its reverse `e ^ 1`, whose residual
 capacities always sum to the pair's total.  An undirected edge is one
 pair with the same capacity both ways.  Max flow is Edmonds-Karp
-(shortest augmenting paths) on the residual capacities, which it leaves
-in place, so a caller can search the residual network afterwards, open
+(shortest augmenting paths); `solve` returns the query's residual
+capacities with the flow, so a caller can search them with `reach`, open
 more slots and keep going.
 """
 
 from __future__ import annotations
 
 from .core import scale_of, scaled
-
-
-class Network:
-    """Residual network of one query: its builder's arcs, with capacities of its own."""
-
-    def __init__(self, head: list[int], cap: list[int], adj: list[list[int]]) -> None:
-        self.head, self.cap, self.adj = head, cap, adj  # arc targets, residual capacities, arcs per node
-
-    def reach(self, starts, stop: int) -> list[int]:
-        """Residual BFS from `starts` until `stop`: the arc first reaching each node (-2 a start, -1 unreached)."""
-        head, cap, adj = self.head, self.cap, self.adj
-        via = [-1] * len(adj)
-        for u in starts:
-            via[u] = -2
-        frontier = list(starts)
-        while frontier and via[stop] == -1:
-            following = []
-            for u in frontier:
-                for e in adj[u]:
-                    v = head[e]
-                    if cap[e] and via[v] == -1:
-                        via[v] = e
-                        following.append(v)
-            frontier = following
-        return via
-
-    def max_flow(self, source: int, sink: int) -> int:
-        """Augment along shortest residual paths until the sink is cut off; return the flow added."""
-        head, cap = self.head, self.cap
-        total = 0
-        while True:
-            via = self.reach((source,), sink)
-            if via[sink] == -1:
-                return total
-            path = []
-            v = sink
-            while v != source:
-                path.append(via[v])
-                v = head[via[v] ^ 1]
-            push = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= push
-                cap[e ^ 1] += push
-            total += push
 
 
 class CutNetwork:
@@ -94,11 +50,44 @@ class CutNetwork:
         """Give `terminal` its two closed slots, source -> entry and exit -> sink."""
         self.slots[terminal] = (self.add(self.source, entry, 0), self.add(exit, self.sink, 0))
 
-    def solve(self, inside, outside) -> tuple[int, Network]:
-        """Max flow from the `inside` terminals to the `outside` ones, and its residual network."""
-        network = Network(self.head, self.cap.copy(), self.adj)
+    def reach(self, cap: list[int], starts, stop: int) -> list[int]:
+        """BFS on residual `cap` from `starts` until `stop`: each node's first arc in (-2 a start, -1 unreached)."""
+        head, adj = self.head, self.adj
+        via = [-1] * len(adj)
+        for u in starts:
+            via[u] = -2
+        frontier = list(starts)
+        while frontier and via[stop] == -1:
+            following = []
+            for u in frontier:
+                for e in adj[u]:
+                    v = head[e]
+                    if cap[e] and via[v] == -1:
+                        via[v] = e
+                        following.append(v)
+            frontier = following
+        return via
+
+    def solve(self, inside, outside) -> tuple[int, list[int]]:
+        """Max flow from the `inside` terminals to the `outside` ones, and its residual capacities."""
+        head, source, sink = self.head, self.source, self.sink
+        cap = self.cap.copy()
         for terminal in inside:
-            network.cap[self.slots[terminal][0]] = self.big
+            cap[self.slots[terminal][0]] = self.big
         for terminal in outside:
-            network.cap[self.slots[terminal][1]] = self.big
-        return network.max_flow(self.source, self.sink), network
+            cap[self.slots[terminal][1]] = self.big
+        total = 0
+        while True:
+            via = self.reach(cap, (source,), sink)
+            if via[sink] == -1:
+                return total, cap
+            path = []
+            v = sink
+            while v != source:
+                path.append(via[v])
+                v = head[via[v] ^ 1]
+            push = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= push
+                cap[e ^ 1] += push
+            total += push

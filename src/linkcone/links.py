@@ -493,7 +493,7 @@ def _pair_network(model: LinkModel) -> CutNetwork | None:
 def _flow_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction, int]:
     """Weight and mask of the tie-broken minimum cut of a pair-atom model by max-flow."""
     cut_network = _pair_network(model)
-    total, network = cut_network.solve(_indices(inside), _indices(outside))
+    total, cap = cut_network.solve(_indices(inside), _indices(outside))
     # Build the lexicographically smallest minimum cut in ascending index
     # order.  Loop i lies in some minimum cut iff the residual closure of
     # {source, in(i)} reaches neither out(i) nor the sink; that closure is
@@ -509,15 +509,15 @@ def _flow_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fraction
     # flow, so separation is asked only once the chosen weight reaches it.
     chosen = weight = 0
     for i in _indices(model._candidates):
-        if network.cap[2 * i]:
+        if cap[2 * i]:
             continue  # a residual split arc leads from in(i) straight to out(i)
-        closure = network.reach((cut_network.source, 2 * i), cut_network.sink)
+        closure = cut_network.reach(cap, (cut_network.source, 2 * i), cut_network.sink)
         if closure[2 * i + 1] != -1 or closure[cut_network.sink] != -1:
             continue
         chosen |= 1 << i
         weight += cut_network.cap[2 * i]
         for e in cut_network.slots[i]:
-            network.cap[e] = cut_network.big
+            cap[e] = cut_network.big
         if weight >= total and not _interior(model, inside, chosen) & outside:
             break
     else:

@@ -137,6 +137,8 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
                     if "" in parts:
                         raise ModelFileError(f"connectivity table key {key!r} has an empty loop name")
                     subset = frozenset(parts)
+                    if len(subset) != len(parts):
+                        raise ModelFileError(f"connectivity table key {key!r} repeats a loop name")
                     if subset in table:
                         raise ModelFileError(f"connectivity table key {key!r} names a subset already named")
                     table[subset] = tuple(frozenset(_names(b, "a block")) for b in _list(blocks, "table blocks"))

@@ -617,6 +617,7 @@ class TestCertificateCache:
             lambda: compute_oracular_indicator(m, four),
             lambda: derive_rhs_assignment(m, four, {}),
             lambda: check_cut_contraction_certificate(m, four, cmap),
+            lambda: check_inequality_direct(m, four),
         ):
             with pytest.raises(ValueError, match=message):
                 call()

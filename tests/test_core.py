@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linkcone.core import (
     EntropyVector,
     InequalityParseError,
+    LinearInequality,
     all_subsystems,
     complement_subsystem,
     evaluate_inequality,
@@ -65,6 +66,21 @@ class TestParsing:
         for text in ("1/0 S(A) + S(B) >= S(AB)", "S(A) + S(B) >= 0/0 * S(AB)"):
             with pytest.raises(InequalityParseError, match="zero denominator"):
                 parse_inequality(text, 2)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, message",
+        [
+            ((), ((frozenset({1, 2}), 1),), "lhs must contain at least one term"),
+            (((frozenset({1}), 1),), ((frozenset({3}), 1),), "bad subsystem {3} for n=2"),
+            (((frozenset({1}), 0),), ((frozenset({1, 2}), 1),), "coefficients must be strictly positive"),
+            (((frozenset({1}), 1), (frozenset({1}), 2)), ((frozenset({1, 2}), 1),), "subsystem A repeated on lhs"),
+        ],
+    )
+    def test_inequality_rejects_bad_terms(self, lhs, rhs, message):
+        # built directly, past the parser, which merges repeats and rejects the rest itself
+        with pytest.raises(ValueError) as raised:
+            LinearInequality(2, lhs, rhs)
+        assert str(raised.value) == message
 
     def test_duplicate_terms_merge(self):
         ineq = parse_inequality("S(A) + 2 S(A) >= S(AB)", 2)

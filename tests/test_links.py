@@ -24,6 +24,7 @@ from linkcone.links import (
     ConnectivityTable,
     LinkModel,
     MonotonicityError,
+    StratificationError,
     UncuttableSubsystemError,
     _blocks,
     _indices,
@@ -830,6 +831,15 @@ class TestStratification:
                 strata = k_loop_stratification(m, sub)
                 assert set(strata) == set(cut.cut)
                 assert all(k >= 3 for k in strata.values())
+
+    def test_cut_loop_in_no_minimal_bridge_raises_on_every_call(self):
+        # the tie-broken min-cut of {1} is {u0, u1} at weight 0, and the one
+        # minimal bridge of {1}, {A, u1, u3}, misses u0
+        m = generate_link_model(2, 8, 5, 3, seed=4, weight_choices=(0, 1, 2))
+        message = r"^min-cut loops \['u0'\] for subsystem \[1\] lie in no minimal bridge$"
+        for _ in range(2):
+            with pytest.raises(StratificationError, match=message):
+                k_loop_stratification(m, {1})
 
     def test_strata_order_ignores_hash_seed(self):
         # the first minimal bridge of B meets its min-cut in u3, the second in

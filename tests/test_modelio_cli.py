@@ -128,7 +128,18 @@ class TestModelIO:
     def test_table_keys_name_distinct_subsets(self, tmp_path, capsys, extra, message):
         # each key names one subset of the loops, once: an extra or repeated
         # subset would otherwise load, and the last entry would silently win
-        obj = self._table_model(**extra)
+        self._assert_rejected(tmp_path, capsys, self._table_model(**extra), message)
+
+    def test_table_key_repeating_a_loop_name(self, tmp_path, capsys):
+        # "a,a" in place of "a" would otherwise load as {a} and be written
+        # back as "a"
+        obj = self._table_model()
+        table = obj["structure"]["table"]
+        table["a,a"] = table.pop("a")
+        self._assert_rejected(tmp_path, capsys, obj, "connectivity table key 'a,a' repeats a loop name")
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, obj, message):
         with pytest.raises(ModelFileError) as raised:
             model_from_json(obj)
         assert str(raised.value) == message

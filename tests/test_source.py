@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import linkcone
+from mutants import CATALOGUE, ROOT
 
 SOURCES = sorted(Path(linkcone.__file__).parent.glob("*.py"))
 
@@ -43,3 +44,16 @@ def test_exported_dataclasses_are_frozen():
     classes = [obj for obj in exported if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
     assert {"WeightedGraph", "Hypergraph", "LinkModel", "ConnectivityTable"} <= {c.__name__ for c in classes}
     assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
+
+
+def test_mutant_catalogue_targets_occur_once():
+    # each entry's old text must name one place in the library, so a change
+    # that moves or rewrites mutated code has to update the catalogue with it
+    assert len(CATALOGUE) >= 6
+    assert len({m.name for m in CATALOGUE}) == len(CATALOGUE)
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    for mutant in CATALOGUE:
+        assert sum(text.count(mutant.old) for text in texts.values()) == 1, mutant.name
+        assert texts[Path(mutant.file).name].count(mutant.old) == 1, mutant.name
+        assert mutant.old != mutant.new, mutant.name
+        assert all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests), mutant.name
