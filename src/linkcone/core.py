@@ -151,8 +151,8 @@ class EntropyVector:
         expected = 2 ** self.n - 1
         if len(self.entries) != expected:
             raise ValueError(f"expected {expected} entries for n={self.n}, got {len(self.entries)}")
-        entries = tuple(Fraction(e) for e in self.entries)
-        if any(e < 0 for e in entries):
+        entries = tuple(e if type(e) is Fraction else Fraction(e) for e in self.entries)
+        if any(e.numerator < 0 for e in entries):
             raise ValueError("entropy entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
 

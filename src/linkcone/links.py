@@ -18,17 +18,24 @@ is declared combinatorially through one of two structures:
 Models are frozen: assigning a field raises `FrozenInstanceError`, and
 `weights`, `external` and a table's `blocks_by_subset` are read-only
 copies, so item assignment raises `TypeError`.  Min-cuts, the cut
-network, name sets of loop masks, subsystems' external-loop masks and,
-per LHS of an inequality, the certificates' trit partitions and
-indicator tables are cached per model on first use (a race only
-computes an entry twice) and returned shared: do not mutate them.
+network, the cut setup, name sets of loop masks, subsystems'
+external-loop masks and, per LHS of an inequality, the certificates'
+trit partitions and indicator tables are cached per model on first use
+(a race only computes an entry twice) and returned shared: do not
+mutate them.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
-`loops[i]`).  The structure is converted once, at construction, and every
-connectivity question goes through `_blocks`, every cut side through
-`_interior`.  The min-cut search, bridges, bridge crediting and
+`loops[i]`).  The structure and each party's external-loop bit are
+converted once, at construction, and every connectivity question goes
+through `_blocks`, every cut side through `_interior`.  What every
+min-cut of a model reads is built once, on its first min-cut
+(`_cut_setup`): the blocks of the whole link, which decide a zero cut,
+the blocks left after cutting every candidate, which decide an
+uncuttable subsystem, and the candidates' integer-scaled weights for
+the search.  The min-cut search, bridges, bridge crediting and
 certificate checks keep these masks; frozensets of loop names appear
-only in public arguments and return values and in error messages.
+only in public arguments and return values and in error messages, and
+a weight becomes a `Fraction` only in a returned result.
 Irreducible sublinks of an atom structure are grown as chained unions of
 atoms, so bridges never need a scan over every loop subset.
 
@@ -50,6 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import (
     Subsystem, _check_subsystem, _declared, _reduce, _store, all_subsystems, entropy_vector, scale_of, scaled
@@ -72,6 +80,7 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+_ZERO = Fraction(0)
 
 
 class MonotonicityError(ValueError):
@@ -187,12 +196,15 @@ class LinkModel:
         if set(weights) != loop_set:
             raise ValueError("weights must be given for every loop")
         for loop, w in weights.items():
-            if not isinstance(w, _Infinite):
-                weights[loop] = Fraction(w)
-                if weights[loop] < 0:
-                    raise ValueError(f"negative weight on loop {loop!r}")
+            if type(w) is not Fraction:
+                if isinstance(w, _Infinite):
+                    continue
+                w = weights[loop] = Fraction(w)
+            if w.numerator < 0:
+                raise ValueError(f"negative weight on loop {loop!r}")
         index = {name: i for i, name in enumerate(loops)}
         externals = frozenset(external.values())
+        party_bits = {party: 1 << index[name] for party, name in external.items()}
         atoms = atoms_at = table = None
         if isinstance(self.structure, AtomicLinkages):
             for atom in self.structure.atoms:
@@ -213,7 +225,7 @@ class LinkModel:
         _store(
             self, loops=loops, weights=MappingProxyType(weights), external=external, _index=index, _names={},
             _externals=externals, _atoms=atoms, _atoms_at=atoms_at, _table=table, _cuttable=cuttable,
-            _candidates=cuttable & linked,
+            _candidates=cuttable & linked, _party_bits=party_bits, _external_mask=sum(party_bits.values()),
         )
 
     @property
@@ -344,10 +356,19 @@ def _subsystem_externals(model: LinkModel, subsystem: Subsystem) -> tuple[int, i
     sides = model._cache.get(("sides", subsystem))
     if sides is None:
         _check_subsystem(subsystem, model.n)
-        inside = _mask_of(model, [model.external[i] for i in subsystem])
-        outside = _mask_of(model, model.external.values()) & ~inside
-        sides = model._cache[("sides", subsystem)] = (inside, outside)
+        # distinct parties name distinct loops, so the sum is the union of their bits
+        inside = sum(model._party_bits[party] for party in subsystem)
+        sides = model._cache[("sides", subsystem)] = (inside, model._external_mask & ~inside)
     return sides
+
+
+def _touching(blocks: list[int], inside: int) -> int:
+    """Union of the `blocks` that meet the loops `inside`."""
+    interior = 0
+    for block in blocks:
+        if block & inside:
+            interior |= block
+    return interior
 
 
 def _interior(model: LinkModel, inside: int, cut: int) -> int:
@@ -356,11 +377,33 @@ def _interior(model: LinkModel, inside: int, cut: int) -> int:
     The cut separates `inside` from any set of loops the interior misses;
     the loops neither cut nor interior form the exterior.
     """
-    interior = 0
-    for block in _blocks(model, ((1 << len(model.loops)) - 1) & ~cut):
-        if block & inside:
-            interior |= block
-    return interior
+    return _touching(_blocks(model, ((1 << len(model.loops)) - 1) & ~cut), inside)
+
+
+class _CutSetup(NamedTuple):
+    whole: list[int]  # blocks of the whole link
+    severed: list[int]  # blocks left after cutting every candidate
+    order: list[int]  # candidate indices, ascending
+    scale: int  # `scale_of` the candidates' weights
+    weight_of: dict[int, int]  # candidate index -> weight times `scale`
+    zeros: int  # mask of the zero-weight candidates
+    total: int  # scaled weight of cutting every candidate
+
+
+def _cut_setup(model: LinkModel) -> _CutSetup:
+    """What every min-cut of the model reads and no subsystem changes, built on the first min-cut."""
+    setup = model._cache.get("cut_setup")
+    if setup is None:
+        everything = (1 << len(model.loops)) - 1
+        order = _indices(model._candidates)
+        scale = scale_of(model.weights[model.loops[i]] for i in order)
+        weight_of = {i: scaled(model.weights[model.loops[i]], scale) for i in order}
+        zeros = sum(1 << i for i in order if not weight_of[i])
+        setup = model._cache["cut_setup"] = _CutSetup(
+            _blocks(model, everything), _blocks(model, everything & ~model._candidates),
+            order, scale, weight_of, zeros, sum(weight_of.values()),
+        )
+    return setup
 
 
 def _check_cut(model: LinkModel, cut: int) -> None:
@@ -423,22 +466,19 @@ def _search_min_cut(model: LinkModel, inside: int, outside: int) -> tuple[Fracti
     through a loop outside it, so there every allowed candidate is the
     witness, which is the plain subset search in index order.
 
-    Weights are scaled to `int`s, keys are (weight, sorted loop indices)
-    and nodes heavier than the best key so far are dropped.  Under a
-    valid S only zero-weight loops keep the weight; one below max(S)
-    makes the index list smaller where it first differs, one above only
-    lengthens it.  So S plus every allowed zero-weight loop below max(S)
-    is the best cut under the node.  The search is exponential in the
-    worst case.
+    Weights are the cut setup's scaled `int`s, keys are (weight, sorted
+    loop indices) and nodes heavier than the best key so far are dropped.
+    Under a valid S only zero-weight loops keep the weight; one below
+    max(S) makes the index list smaller where it first differs, one above
+    only lengthens it.  So S plus every allowed zero-weight loop below
+    max(S) is the best cut under the node.  The search is exponential in
+    the worst case.
     """
     candidates = model._candidates
-    order = _indices(candidates)
-    scale = scale_of(model.weights[model.loops[i]] for i in order)
-    weight_of = {i: scaled(model.weights[model.loops[i]], scale) for i in order}
-    zeros = sum(1 << i for i in order if not weight_of[i])
+    _, _, order, scale, weight_of, zeros, total = _cut_setup(model)
     table = model._table is not None
     # cutting every candidate is valid (the caller checked), so it bounds the search
-    best = (sum(weight_of.values()), order, candidates)
+    best = (total, order, candidates)
 
     def descend(cut: int, banned: int, weight: int) -> None:
         nonlocal best
@@ -484,7 +524,7 @@ def _pair_network(model: LinkModel) -> CutNetwork | None:
                 u, v = _indices(atom)
                 network.add(2 * u + 1, 2 * v, network.big)
                 network.add(2 * v + 1, 2 * u, network.big)
-            for i in _indices(model._candidates | _mask_of(model, model._externals)):
+            for i in _indices(model._candidates | model._external_mask):
                 network.slot(i, 2 * i, 2 * i + 1)
         model._cache["pair_network"] = network
     return model._cache["pair_network"]
@@ -555,10 +595,11 @@ def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[LoopCutResult, int
     if cached is not None:
         return cached
     inside, outside = _subsystem_externals(model, subsystem)
-    interior = _interior(model, inside, 0)
+    setup = _cut_setup(model)
+    interior = _touching(setup.whole, inside)
     if not interior & outside:
-        weight, cut = Fraction(0), 0
-    elif _interior(model, inside, model._candidates) & outside:
+        weight, cut = _ZERO, 0
+    elif _touching(setup.severed, inside) & outside:
         raise UncuttableSubsystemError(
             f"externals of {sorted(subsystem)} stay linked to the rest after removing every internal loop"
         )

@@ -84,6 +84,16 @@ def _names(value, what: str) -> tuple[str, ...]:
     return names
 
 
+def _name_set(value, what: str) -> frozenset[str]:
+    """A JSON list of distinct names, as a set: a repeat is an error, not silently dropped."""
+    names = _names(value, what)
+    name_set = frozenset(names)
+    if len(name_set) != len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ModelFileError(f"repeated name {repeated!r} in {what} {list(names)}")
+    return name_set
+
+
 def _edge(value) -> tuple[str, str, Fraction]:
     edge = _list(value, "an edge")
     if len(edge) != 3:
@@ -96,8 +106,9 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
     """Build a model from its JSON object, rejecting anything off the schema.
 
     Vertex, loop, edge, member, atom and block lists must be JSON lists
-    and every name a string, and each connectivity-table key must name a
-    distinct subset of the loops; anything else is a `ModelFileError`.
+    and every name a string, the names of one hyperedge, atom or block
+    distinct, and each connectivity-table key must name a distinct subset
+    of the loops; anything else is a `ModelFileError`.
     """
     if not isinstance(obj, dict):
         raise ModelFileError("model file must contain a JSON object")
@@ -115,7 +126,7 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
                 external=_parse_external(obj["external"]),
                 hyperedges=tuple(
                     (
-                        frozenset(_names(_object(e, "a hyperedge")["members"], "hyperedge members")),
+                        _name_set(_object(e, "a hyperedge")["members"], "hyperedge members"),
                         parse_rational(e["weight"]),
                     )
                     for e in _list(obj["hyperedges"], "hyperedges")
@@ -128,7 +139,7 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
             structure_obj = _object(obj["structure"], "link structure")
             if "atoms" in structure_obj:
                 structure = AtomicLinkages(
-                    tuple(frozenset(_names(a, "an atom")) for a in _list(structure_obj["atoms"], "atoms"))
+                    tuple(_name_set(a, "an atom") for a in _list(structure_obj["atoms"], "atoms"))
                 )
             elif "table" in structure_obj:
                 table = {}
@@ -141,7 +152,7 @@ def model_from_json(obj) -> WeightedGraph | Hypergraph | LinkModel:
                         raise ModelFileError(f"connectivity table key {key!r} repeats a loop name")
                     if subset in table:
                         raise ModelFileError(f"connectivity table key {key!r} names a subset already named")
-                    table[subset] = tuple(frozenset(_names(b, "a block")) for b in _list(blocks, "table blocks"))
+                    table[subset] = tuple(_name_set(b, "a block") for b in _list(blocks, "table blocks"))
                 structure = ConnectivityTable(table)
             else:
                 raise ModelFileError("link structure needs either 'atoms' or 'table'")

@@ -132,6 +132,48 @@ CATALOGUE = (
         "if False:",
         ("tests/test_modelio_cli.py::TestModelIO",),
     ),
+    Mutant(
+        "uncuttable-test-reads-whole-blocks",
+        "src/linkcone/links.py",
+        "elif _touching(setup.severed, inside) & outside:",
+        "elif _touching(setup.whole, inside) & outside:",
+        ("tests/test_links.py::TestCutSetup",),
+    ),
+    Mutant(
+        "cut-setup-no-zero-mask",
+        "src/linkcone/links.py",
+        "zeros = sum(1 << i for i in order if not weight_of[i])",
+        "zeros = 0",
+        ("tests/test_links.py::TestCutSetup",),
+    ),
+    Mutant(
+        "external-mask-without-purifier",
+        "src/linkcone/links.py",
+        "_external_mask=sum(party_bits.values())",
+        "_external_mask=sum(party_bits[p] for p in range(1, len(party_bits)))",
+        ("tests/test_links.py::TestRay15Vector",),
+    ),
+    Mutant(
+        "link-weights-keep-fraction-subclasses",
+        "src/linkcone/links.py",
+        "if type(w) is not Fraction:",
+        "if not isinstance(w, Fraction):",
+        ("tests/test_links.py::TestWeightTypes",),
+    ),
+    Mutant(
+        "vector-keeps-fraction-subclasses",
+        "src/linkcone/core.py",
+        "e if type(e) is Fraction else Fraction(e)",
+        "e if isinstance(e, Fraction) else Fraction(e)",
+        ("tests/test_core.py::TestEvaluationAndComplements::test_vector_entries_are_stored_as_fractions",),
+    ),
+    Mutant(
+        "model-file-list-repeats-a-name",
+        "src/linkcone/modelio.py",
+        "name_set = frozenset(names)\n    if len(name_set) != len(names):",
+        "name_set = frozenset(names)\n    if False:",
+        ("tests/test_modelio_cli.py::TestModelIO::test_list_repeating_a_name",),
+    ),
 )
 
 

@@ -223,6 +223,17 @@ class TestEvaluationAndComplements:
         with pytest.raises(ValueError):
             EntropyVector(1, (Fraction(-1),))
 
+    def test_vector_entries_are_stored_as_fractions(self):
+        class FractionSubclass(Fraction):
+            pass
+
+        vector = EntropyVector(2, [2, "2/3", FractionSubclass(3, 4)])
+        assert vector.entries == (2, Fraction(2, 3), Fraction(3, 4))
+        assert all(type(e) is Fraction for e in vector.entries)
+        for negative in (-1, "-1/2", Fraction(-2, 3), FractionSubclass(-1, 5)):
+            with pytest.raises(ValueError, match=r"^entropy entries must be nonnegative$"):
+                EntropyVector(1, (negative,))
+
     def test_subsystem_parse(self):
         assert subsystem_from_letters("CA", 3) == frozenset({1, 3})
         with pytest.raises(InequalityParseError):

@@ -444,8 +444,10 @@ class TestLoopCuts:
             external={1: "a", 2: "b"},
             structure=AtomicLinkages((frozenset({"a", "b"}),)),
         )
-        with pytest.raises(UncuttableSubsystemError):
-            link_min_cut(m, frozenset({1}))
+        # the error is not cached: the second call, on a warm cut setup, raises too
+        for _ in range(2):
+            with pytest.raises(UncuttableSubsystemError):
+                link_min_cut(m, frozenset({1}))
 
     def test_no_atoms_zero_vector(self):
         m = LinkModel(
@@ -718,6 +720,78 @@ class TestWitnessSearch:
         m = generate_link_model(4, 28, 36, 3, seed=1)
         for sub in all_subsystems(m.n):
             assert link_min_cut(m, sub) == reference_link_min_cut(m, sub), sub
+
+
+class TestCutSetup:
+    """One cut setup per model serves every subsystem, whatever was asked before."""
+
+    @pytest.mark.parametrize("build", [brunnian_model, held_table_model, pair_atom_model])
+    def test_query_order_does_not_matter(self, build):
+        outcomes = set()
+        for seed in range(30):
+            m = build(seed)
+            rng = random.Random(seed)
+            subsystems = list(all_subsystems(m.n))
+            rng.shuffle(subsystems)
+            finite = [x for x in m.internal_loops if m.is_finite(x)]
+            for sub in subsystems:
+                # an arbitrary cut of an arbitrary subsystem between the min-cuts
+                other = rng.choice(all_subsystems(m.n))
+                cut = rng.sample(finite, rng.randint(0, len(finite)))
+                interior, _ = reference_cut_sides(m, other, cut)
+                inside = {m.external[i] for i in other}
+                assert is_valid_loop_cut(m, other, cut) == (not interior & (m.external_loops - inside))
+                result = _min_cut_or_error(link_min_cut, m, sub)
+                fresh = LinkModel(m.loops, dict(m.weights), dict(m.external), m.structure)
+                assert result == _min_cut_or_error(link_min_cut, fresh, sub), (seed, sub)
+                assert result == _min_cut_or_error(reference_link_min_cut, m, sub), (seed, sub)
+                outcomes.add("uncuttable" if isinstance(result, str) else result.weight == 0)
+        assert outcomes == {"uncuttable", True, False}
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+class TestWeightTypes:
+    @staticmethod
+    def _chain(weight) -> LinkModel:
+        return LinkModel(
+            loops=("a", "m", "o"),
+            weights={"a": 1, "m": weight, "o": INFINITE},
+            external={1: "a", 2: "o"},
+            structure=AtomicLinkages((frozenset({"a", "m"}), frozenset({"m", "o"}))),
+        )
+
+    @pytest.mark.parametrize(
+        "weight, value",
+        [(2, 2), (0, 0), ("2/3", Fraction(2, 3)), (Fraction(1, 2), Fraction(1, 2)),
+         (_FractionSubclass(3, 4), Fraction(3, 4))],
+    )
+    def test_weights_are_stored_as_fractions(self, weight, value):
+        m = self._chain(weight)
+        assert type(m.weights["m"]) is Fraction and m.weights["m"] == value
+        assert type(m.weights["a"]) is Fraction and m.weights["o"] is INFINITE
+        result = link_min_cut(m, {1})
+        assert type(result.weight) is Fraction and result.weight == value
+
+    @pytest.mark.parametrize("weight", [-1, "-1/2", Fraction(-2, 3), _FractionSubclass(-1, 5)])
+    def test_negative_weights_raise(self, weight):
+        with pytest.raises(ValueError, match=r"^negative weight on loop 'm'$"):
+            self._chain(weight)
+
+    def test_zero_cut_weight_is_a_fraction(self):
+        m = LinkModel(
+            loops=("a", "b", "m", "o"),
+            weights={"a": 1, "b": 1, "m": 1, "o": 1},
+            external={1: "a", 2: "b", 3: "o"},
+            structure=AtomicLinkages((frozenset({"b", "m"}), frozenset({"m", "o"}))),
+        )
+        result = link_min_cut(m, {1})
+        assert (result.cut, result.weight) == (frozenset(), 0)
+        assert type(result.weight) is Fraction
+        vector = link_entropy_vector(m)
+        assert vector.entries == (0, 1, 1) and all(type(e) is Fraction for e in vector.entries)
 
 
 class TestRay15Vector:

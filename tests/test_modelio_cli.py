@@ -138,6 +138,32 @@ class TestModelIO:
         table["a,a"] = table.pop("a")
         self._assert_rejected(tmp_path, capsys, obj, "connectivity table key 'a,a' repeats a loop name")
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"kind": "link", "loops": ["a", "b", "c"], "weights": {"a": 1, "b": 1, "c": 1},
+                 "external": {"A": "a", "B": "b"}, "structure": {"atoms": [["a", "a", "c"], ["c", "b"]]}},
+                "repeated name 'a' in an atom ['a', 'a', 'c']",
+            ),
+            (
+                {"kind": "link", "loops": ["a", "b"], "weights": {"a": 1, "b": 1}, "external": {"A": "a", "B": "b"},
+                 "structure": {"table": {**TABLE, "a,b": [["a", "b", "a"]]}}},
+                "repeated name 'a' in a block ['a', 'b', 'a']",
+            ),
+            (
+                {"kind": "hypergraph", "vertices": ["a", "m"], "external": {"A": "a", "B": "m"},
+                 "hyperedges": [{"members": ["a", "a", "m"], "weight": 1}]},
+                "repeated name 'a' in hyperedge members ['a', 'a', 'm']",
+            ),
+        ],
+        ids=["atom", "block", "hyperedge"],
+    )
+    def test_list_repeating_a_name(self, tmp_path, capsys, obj, message):
+        # each list is read as a set, so a repeat would load silently and
+        # be written back once
+        self._assert_rejected(tmp_path, capsys, obj, message)
+
     @staticmethod
     def _assert_rejected(tmp_path, capsys, obj, message):
         with pytest.raises(ModelFileError) as raised:
