@@ -66,6 +66,18 @@ def _declared(names, external, noun: str, nouns: str) -> tuple[tuple[str, ...], 
     return names, MappingProxyType(external), name_set
 
 
+def _distinct(members, what: str) -> frozenset:
+    """`members` (any iterable, read once) as a frozenset; a repeated member raises, not silently dropped."""
+    if isinstance(members, (set, frozenset)):
+        return frozenset(members)
+    members = list(members)
+    distinct = frozenset(members)
+    if len(distinct) < len(members):
+        repeated = next(m for i, m in enumerate(members) if m in members[:i])
+        raise ValueError(f"repeated name {repeated!r} in {what} {members}")
+    return distinct
+
+
 def _store(obj, **attributes) -> None:
     """Set attributes on a frozen dataclass instance; `object.__setattr__` keeps attribute reads fast."""
     for name, value in attributes.items():

@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Subsystem, _check_subsystem, _declared, _reduce, _store, entropy_vector
+from .core import Subsystem, _check_subsystem, _declared, _distinct, _reduce, _store, entropy_vector
 from .flow import CutNetwork
 
 
@@ -77,7 +77,7 @@ class Hypergraph:
         vertices, external, vertex_set = _declared(self.vertices, self.external, "vertex", "vertices")
         edges = []
         for members, w in self.hyperedges:
-            members = frozenset(members)
+            members = _distinct(members, "hyperedge members")
             if len(members) < 2:
                 raise ValueError("hyperedges need at least two distinct members")
             if not members <= vertex_set:

@@ -60,7 +60,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
-    Subsystem, _check_subsystem, _declared, _reduce, _store, all_subsystems, entropy_vector, scale_of, scaled
+    Subsystem, _check_subsystem, _declared, _distinct, _reduce, _store, all_subsystems, entropy_vector,
+    scale_of, scaled,
 )
 from .flow import CutNetwork
 from .hypergraphs import Hypergraph
@@ -102,7 +103,7 @@ class AtomicLinkages:
     atoms: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        atoms = tuple(frozenset(a) for a in self.atoms)
+        atoms = tuple(_distinct(a, "atom") for a in self.atoms)
         if any(len(a) < 2 for a in atoms):
             raise ValueError("atoms must contain at least two loops")
         object.__setattr__(self, "atoms", atoms)
@@ -248,8 +249,12 @@ class LinkModel:
 
     # `model`, not `self`: this method is also the public `link_entropy`
     def entropy(model: LinkModel, subsystem: Subsystem) -> Fraction:
-        """Weight of the subsystem's minimum loop cut (see `link_min_cut`)."""
-        return link_min_cut(model, subsystem).weight
+        """Weight of the subsystem's minimum loop cut (see `link_min_cut`).
+
+        Reads only the cached weight and loop masks, so it builds no name
+        sets and no `LoopCutResult`.
+        """
+        return _min_cut(model, frozenset(subsystem))[0]
 
 
 @dataclass(frozen=True)
@@ -585,12 +590,27 @@ def link_min_cut(model: LinkModel, subsystem: Subsystem) -> LoopCutResult:
     contains, read off the residual network.  Larger atoms and connectivity
     tables use `_search_min_cut`, which branches on the loops of a witness
     every valid cut must meet; it is exponential in the worst case.
+
+    The result, with its name sets, is built from the cached masks on the
+    first request for a subsystem and cached apart from them, so
+    `LinkModel.entropy` never pays for it.
     """
-    return _min_cut(model, frozenset(subsystem))[0]
+    subsystem = frozenset(subsystem)
+    result = model._cache.get(("cut", subsystem))
+    if result is None:
+        weight, cut, interior, exterior = _min_cut(model, subsystem)
+        result = model._cache[("cut", subsystem)] = LoopCutResult(
+            cut=_names_of(model, cut),
+            weight=weight,
+            interior=_names_of(model, interior),
+            exterior=_names_of(model, exterior),
+            tie_break="minimum weight, then lexicographically smallest sorted loop-index list",
+        )
+    return result
 
 
-def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[LoopCutResult, int, int, int]:
-    """`link_min_cut` with the masks of its cut, interior and exterior, cached per subsystem."""
+def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[Fraction, int, int, int]:
+    """Weight of the subsystem's min-cut and the masks of its cut, interior and exterior, cached."""
     cached = model._cache.get(("mincut", subsystem))
     if cached is not None:
         return cached
@@ -608,14 +628,7 @@ def _min_cut(model: LinkModel, subsystem: Subsystem) -> tuple[LoopCutResult, int
         weight, cut = search(model, inside, outside)
         interior = _interior(model, inside, cut)
     exterior = ((1 << len(model.loops)) - 1) & ~cut & ~interior
-    result = LoopCutResult(
-        cut=_names_of(model, cut),
-        weight=weight,
-        interior=_names_of(model, interior),
-        exterior=_names_of(model, exterior),
-        tie_break="minimum weight, then lexicographically smallest sorted loop-index list",
-    )
-    cached = model._cache[("mincut", subsystem)] = (result, cut, interior, exterior)
+    cached = model._cache[("mincut", subsystem)] = (weight, cut, interior, exterior)
     return cached
 
 

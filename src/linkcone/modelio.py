@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .certificates import IndicatorEntry, OracularIndicatorTable, TritContractionMap, Trits
-from .core import Bits, party_index, party_letter
+from .core import Bits, _distinct, party_index, party_letter
 from .graphs import WeightedGraph
 from .hypergraphs import Hypergraph
 from .links import INFINITE, AtomicLinkages, ConnectivityTable, LinkModel, _Infinite
@@ -87,11 +87,10 @@ def _names(value, what: str) -> tuple[str, ...]:
 def _name_set(value, what: str) -> frozenset[str]:
     """A JSON list of distinct names, as a set: a repeat is an error, not silently dropped."""
     names = _names(value, what)
-    name_set = frozenset(names)
-    if len(name_set) != len(names):
-        repeated = next(name for i, name in enumerate(names) if name in names[:i])
-        raise ModelFileError(f"repeated name {repeated!r} in {what} {list(names)}")
-    return name_set
+    try:
+        return _distinct(names, what)
+    except ValueError as exc:
+        raise ModelFileError(str(exc)) from None
 
 
 def _edge(value) -> tuple[str, str, Fraction]:

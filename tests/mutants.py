@@ -12,8 +12,12 @@ Run from the repository root:
     python tests/mutants.py [NAME ...] [--timeout SECONDS]
 
 Every mutant runs in a fresh temporary copy of `src/` and `tests/`, with
-`pytest -x` on its tests; a run over the timeout counts as killed.  The
-unmutated copy runs each test selection once first, and must pass.  The
+`pytest -x` on its tests; a run over the timeout counts as killed.  An
+entry whose mutant can only hang sets a shorter timeout of its own, with
+the reason next to it; `--timeout` still caps every run.  The unmutated
+copy runs each test selection once first, with the `--timeout`, and must
+pass; a selection inside another one (the same paths or node ids below
+them) passes with it and gets no run of its own.  The
 runner prints a table and exits 1 if any mutant is killed or survives
 against its record.  pytest does not collect this file.
 """
@@ -43,6 +47,7 @@ class Mutant:
     new: str
     tests: tuple[str, ...]  # pytest paths or node ids, relative to the repository root
     equivalent: str = ""  # why the mutant cannot be told apart; empty if it must be killed
+    timeout: float | None = None  # seconds for this entry's run when shorter than --timeout
 
 
 CATALOGUE = (
@@ -66,6 +71,9 @@ CATALOGUE = (
         "            frontier = following\n        return via",
         "            frontier = frontier\n        return via",
         (PAIR_FLOW,),
+        # the BFS loops forever on its first frontier, so the tests can only
+        # time out; the unmutated selection takes about 5 s
+        timeout=15.0,
     ),
     Mutant(
         "flow-tiebreak-no-split-arc-shortcut",
@@ -168,10 +176,42 @@ CATALOGUE = (
         ("tests/test_core.py::TestEvaluationAndComplements::test_vector_entries_are_stored_as_fractions",),
     ),
     Mutant(
+        "constructor-list-repeats-a-name",
+        "src/linkcone/core.py",
+        "if len(distinct) < len(members):",
+        "if False:",
+        (
+            "tests/test_links.py::TestConnectivityTable::test_invalid_structure_messages",
+            "tests/test_hypergraphs.py::test_repeated_member_rejected",
+        ),
+    ),
+    Mutant(
+        "lazy-result-reads-exterior-as-interior",
+        "src/linkcone/links.py",
+        "interior=_names_of(model, interior),",
+        "interior=_names_of(model, exterior),",
+        ("tests/test_links.py::TestCutSetup::test_result_after_entropy_matches_a_fresh_model",),
+    ),
+    Mutant(
+        "lazy-result-shares-the-mask-key",
+        "src/linkcone/links.py",
+        'result = model._cache.get(("cut", subsystem))',
+        'result = model._cache.get(("mincut", subsystem))',
+        ("tests/test_links.py::TestCutSetup::test_result_after_entropy_matches_a_fresh_model",),
+    ),
+    Mutant(
+        "uncuttable-cached-as-zero-weight",
+        "src/linkcone/links.py",
+        'raise UncuttableSubsystemError(\n            f"externals of',
+        'model._cache[("mincut", subsystem)] = (_ZERO, 0, 0, 0)\n'
+        '        raise UncuttableSubsystemError(\n            f"externals of',
+        ("tests/test_links.py::TestCutSetup::test_uncuttable_entropy_raises_on_every_call",),
+    ),
+    Mutant(
         "model-file-list-repeats-a-name",
         "src/linkcone/modelio.py",
-        "name_set = frozenset(names)\n    if len(name_set) != len(names):",
-        "name_set = frozenset(names)\n    if False:",
+        'tuple(_name_set(b, "a block")',
+        'tuple(frozenset(_names(b, "a block"))',
         ("tests/test_modelio_cli.py::TestModelIO::test_list_repeating_a_name",),
     ),
 )
@@ -180,6 +220,11 @@ CATALOGUE = (
 def _copy_tree(into: Path) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, into / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+
+
+def _covers(wide: tuple[str, ...], narrow: tuple[str, ...]) -> bool:
+    """Whether every test path or node id in `narrow` is one in `wide` or lies below it."""
+    return all(any(test == w or test.startswith(w + "::") for w in wide) for test in narrow)
 
 
 def _pytest(tree: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, str]:
@@ -220,7 +265,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="linkcone-mutants-") as scratch:
         clean = Path(scratch) / "clean"
         _copy_tree(clean)
-        for tests in dict.fromkeys(m.tests for m in chosen):
+        selections = list(dict.fromkeys(m.tests for m in chosen))
+        for i, tests in enumerate(selections):
+            if any(_covers(wider, tests) and (j < i or not _covers(tests, wider))
+                   for j, wider in enumerate(selections) if j != i):
+                continue
             start = time.perf_counter()
             outcome, detail = _pytest(clean, tests, args.timeout)
             rows.append(("(unmutated)", "passed", outcome, time.perf_counter() - start, detail or " ".join(tests)))
@@ -234,7 +283,7 @@ def main(argv=None) -> int:
                 continue
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
             start = time.perf_counter()
-            outcome, detail = _pytest(tree, mutant.tests, args.timeout)
+            outcome, detail = _pytest(tree, mutant.tests, min(args.timeout, mutant.timeout or args.timeout))
             got = {"passed": "survived", "failed": "killed", "timeout": "killed"}.get(outcome, outcome)
             expected = "survived" if mutant.equivalent else "killed"
             rows.append((mutant.name, expected, got, time.perf_counter() - start, detail or mutant.equivalent))

@@ -60,6 +60,20 @@ def test_singleton_edge_rejected():
         Hypergraph(("a", "o"), {1: "a", 2: "o"}, ((frozenset({"a"}), Fraction(1)),))
 
 
+@pytest.mark.parametrize("make", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+def test_repeated_member_rejected(make):
+    # a repeat would otherwise be dropped silently, turning a 3-list into a pair
+    with pytest.raises(ValueError, match=r"^repeated name 'a' in hyperedge members \['a', 'a', 'm'\]$"):
+        Hypergraph(("a", "m"), {1: "a", 2: "m"}, ((make(["a", "a", "m"]), 1),))
+
+
+@pytest.mark.parametrize("make", [set, frozenset, list, iter], ids=["set", "frozenset", "list", "iterator"])
+def test_members_of_distinct_names_from_any_iterable(make):
+    h = Hypergraph(("a", "b", "m"), {1: "a", 2: "m"}, ((make(["a", "b", "m"]), 2),))
+    assert h.hyperedges == ((frozenset({"a", "b", "m"}), Fraction(2)),)
+    assert hypergraph_entropy(h, {1}) == 2
+
+
 def test_rank2_matches_graph_entropy():
     for seed in range(60):
         g = generate_graph(2 + seed % 3, vertices=5 + seed % 5, edges=seed % 10, seed=seed)

@@ -294,12 +294,22 @@ class TestConnectivityTable:
             (lambda t: validate_connectivity_table(tuple("abc"), t._singletons()),
              ValueError, "connectivity table has 16 entries, more than the 8 subsets of its loops"),
             (lambda t: AtomicLinkages((frozenset({"a"}),)), ValueError, "atoms must contain at least two loops"),
+            (lambda t: AtomicLinkages([["a", "a", "c"]]), ValueError, "repeated name 'a' in atom ['a', 'a', 'c']"),
+            (lambda t: AtomicLinkages([("b", "c"), iter("cdc")]), ValueError,
+             "repeated name 'c' in atom ['c', 'd', 'c']"),
         ],
     )
     def test_invalid_structure_messages(self, build, error, message):
         with pytest.raises(error) as raised:
             build(self)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("make", [set, frozenset, list, tuple, iter], ids=["set", "frozenset", "list", "tuple", "iterator"])
+    def test_atoms_of_distinct_names_from_any_iterable(self, make):
+        # each atom is read once, so a generator works; a set passes as it is
+        atoms = AtomicLinkages([make(["a", "b"]), make(["b", "c", "d"])]).atoms
+        assert atoms == (frozenset({"a", "b"}), frozenset({"b", "c", "d"}))
+        assert all(type(a) is frozenset for a in atoms)
 
     def test_monotonicity_error_ignores_hash_seed(self):
         script = (
@@ -741,12 +751,56 @@ class TestCutSetup:
                 interior, _ = reference_cut_sides(m, other, cut)
                 inside = {m.external[i] for i in other}
                 assert is_valid_loop_cut(m, other, cut) == (not interior & (m.external_loops - inside))
+                expected = _min_cut_or_error(reference_link_min_cut, m, sub)
+                if rng.random() < 0.5:
+                    # the weight-only reader
+                    weight = _min_cut_or_error(link_entropy, m, sub)
+                    assert weight == (expected if isinstance(expected, str) else expected.weight), (seed, sub)
+                    outcomes.add("uncuttable" if isinstance(weight, str) else weight == 0)
+                    continue
+                result = _min_cut_or_error(link_min_cut, m, sub)
+                fresh = LinkModel(m.loops, dict(m.weights), dict(m.external), m.structure)
+                assert result == _min_cut_or_error(link_min_cut, fresh, sub), (seed, sub)
+                assert result == expected, (seed, sub)
+                outcomes.add("uncuttable" if isinstance(result, str) else result.weight == 0)
+        assert outcomes == {"uncuttable", True, False}
+
+    @pytest.mark.parametrize("build", [brunnian_model, held_table_model, pair_atom_model])
+    def test_result_after_entropy_matches_a_fresh_model(self, build):
+        # `entropy` caches only the weight and masks; the full result built
+        # from them later is the one a cold model or the reference gives
+        for seed in range(12):
+            m = build(seed)
+            subsystems = all_subsystems(m.n)
+            weights = [_min_cut_or_error(link_entropy, m, sub) for sub in subsystems]
+            for sub, weight in zip(subsystems, weights):
                 result = _min_cut_or_error(link_min_cut, m, sub)
                 fresh = LinkModel(m.loops, dict(m.weights), dict(m.external), m.structure)
                 assert result == _min_cut_or_error(link_min_cut, fresh, sub), (seed, sub)
                 assert result == _min_cut_or_error(reference_link_min_cut, m, sub), (seed, sub)
-                outcomes.add("uncuttable" if isinstance(result, str) else result.weight == 0)
-        assert outcomes == {"uncuttable", True, False}
+                assert weight == (result if isinstance(result, str) else result.weight), (seed, sub)
+                if not isinstance(result, str):
+                    assert link_min_cut(m, sub) is result, (seed, sub)
+                    assert type(result.weight) is Fraction
+                    assert result.tie_break == "minimum weight, then lexicographically smallest sorted loop-index list"
+
+    def test_uncuttable_entropy_raises_on_every_call(self):
+        # a failure is never cached as a weight, whichever reader asks first
+        m = LinkModel(
+            loops=("a", "b", "u", "o"),
+            weights={"a": Fraction(1), "b": Fraction(1), "u": Fraction(1), "o": Fraction(1)},
+            external={1: "a", 2: "b", 3: "o"},
+            structure=AtomicLinkages((frozenset({"a", "b"}), frozenset({"a", "u"}), frozenset({"u", "o"}))),
+        )
+        for reader in (link_entropy, link_min_cut, link_entropy):
+            for sub in (frozenset({1}), frozenset({2})):
+                with pytest.raises(UncuttableSubsystemError):
+                    reader(m, sub)
+        # the cuttable subsystem {1, 2}: loop u alone separates a and b from o
+        assert link_entropy(m, {1, 2}) == 1
+        assert link_min_cut(m, {1, 2}).cut == frozenset({"u"})
+        with pytest.raises(UncuttableSubsystemError):
+            link_entropy_vector(m)
 
 
 class _FractionSubclass(Fraction):

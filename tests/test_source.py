@@ -56,4 +56,6 @@ def test_mutant_catalogue_targets_occur_once():
         assert sum(text.count(mutant.old) for text in texts.values()) == 1, mutant.name
         assert texts[Path(mutant.file).name].count(mutant.old) == 1, mutant.name
         assert mutant.old != mutant.new, mutant.name
+        # a run over its timeout counts as killed, which an equivalent entry must never be
+        assert mutant.timeout is None or (mutant.timeout > 0 and not mutant.equivalent), mutant.name
         assert all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests), mutant.name
