@@ -14,17 +14,12 @@ import string
 import sys
 from functools import cache
 
-from .certificates import (
-    CertificateError,
-    InconsistentAssignment,
-    check_cut_contraction_certificate,
-    check_inequality_direct,
-)
+from .certificates import check_cut_contraction_certificate, check_inequality_direct
 from .contraction import BUDGET_EXCEEDED, FOUND, search_contraction_map
 from .core import InequalityParseError, entropy_vector, parse_inequality, subsystem_from_letters
 from .generate import generate_link_model
 from .hypergraphs import Hypergraph
-from .links import LinkModel, UncuttableSubsystemError, hypergraph_to_link, ray15_link
+from .links import LinkModel, hypergraph_to_link, ray15_link
 from .modelio import (
     ModelFileError,
     bit_map_to_json,
@@ -122,7 +117,7 @@ def _cmd_check_ineq(args) -> int:
     if not args.map:
         raise _UsageError("--method certificate requires --map")
     if not isinstance(model, LinkModel):
-        raise UncuttableSubsystemError("certificate checking applies to link models")
+        raise ValueError("certificate checking applies to link models")
     obj = json.loads(read_text(args.map))
     cmap = trit_map_from_json(obj, length=len(ineq.lhs), width=len(ineq.rhs))
     result = check_cut_contraction_certificate(model, ineq, cmap, exhaustive=args.exhaustive)
@@ -188,7 +183,7 @@ def _cmd_find_contraction(args) -> int:
 def _cmd_convert(args) -> int:
     model, digest = _resolve_model(args)
     if not isinstance(model, Hypergraph):
-        raise UncuttableSubsystemError("convert expects a hypergraph model file")
+        raise ValueError("convert expects a hypergraph model file")
     link = hypergraph_to_link(model)
     source_vector = entropy_vector(model)
     link_vector = entropy_vector(link)
@@ -301,7 +296,7 @@ def main(argv=None) -> int:
     except (ModelFileError, InequalityParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UncuttableSubsystemError, CertificateError, InconsistentAssignment, ValueError) as exc:
+    except ValueError as exc:  # uncuttable subsystems and certificate errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

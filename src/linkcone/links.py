@@ -36,8 +36,9 @@ the search.  The min-cut search, bridges, bridge crediting and
 certificate checks keep these masks; frozensets of loop names appear
 only in public arguments and return values and in error messages, and
 a weight becomes a `Fraction` only in a returned result.
-Irreducible sublinks of an atom structure are grown as chained unions of
-atoms, so bridges never need a scan over every loop subset.
+Minimal bridges of an atom structure are grown per subsystem, as chained
+unions of atoms from the cut interior that stop at the exterior, so no
+scan over every loop subset or every irreducible sublink is needed.
 
 When every atom is a pair of loops, linking is plain adjacency and a
 minimum loop cut is a minimum vertex separator: `link_min_cut` solves it
@@ -55,6 +56,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
@@ -133,7 +135,8 @@ def validate_connectivity_table(loops: tuple[str, ...], table: ConnectivityTable
     Subsets are visited by size, each after all its single-loop deletions,
     which are tried in declaration order.  They suffice for monotonicity:
     refinement is transitive, so any chain of deletions inherits it.  An
-    entry for anything but a subset of the loops is a ValueError.
+    entry for anything but a subset of the loops is a ValueError.  The
+    returned dict holds the subsets in the order visited.
     """
     if len(loops) > 14:
         raise ValueError("connectivity tables are supported for at most 14 loops")
@@ -646,47 +649,14 @@ def is_irreducible(model: LinkModel, subset) -> bool:
     return len(subset) >= 2 and len(_blocks(model, _mask_of(model, subset))) == 1
 
 
-def _irreducible_family(model: LinkModel) -> tuple[int, ...]:
-    """Masks of all irreducible sublinks, ordered by size then loop indices.
-
-    With atoms, a set is irreducible exactly when it is the union of atoms
-    chained together by shared loops, so the family grows from the atom
-    masks by absorbing every touching atom that adds loops; the cost is
-    family size times atom count.  A table contributes its own
-    single-block entries of size >= 2.  Both are capped at 16 loops.
-    """
-    cached = model._cache.get("irreducible")
-    if cached is None:
-        if len(model.loops) > 16:
-            raise ValueError("irreducible-sublink enumeration is supported for at most 16 loops")
-        table = model._table
-        if table is not None:
-            family = {mask for mask, blocks in table.items() if len(blocks) == 1 and mask & (mask - 1)}
-        else:
-            atoms = model._atoms
-            family = set(atoms)
-            pending = list(family)
-            while pending:
-                mask = pending.pop()
-                for atom in atoms:
-                    grown = mask | atom
-                    if atom & mask and grown not in family:
-                        family.add(grown)
-                        pending.append(grown)
-        # the order combinations(range(n), size) gives: size, then ascending loop indices
-        cached = tuple(sorted(family, key=lambda m: (m.bit_count(), _indices(m))))
-        model._cache["irreducible"] = cached
-    return cached
-
-
 def bridge_oracle(model: LinkModel, subsystem: Subsystem, candidate) -> bool:
     """Decide whether `candidate` is a minimal bridge across the subsystem's min-cut.
 
     A bridge is an irreducible sublink meeting the cut interior, the cut
     exterior, and the min-cut itself; minimal means no proper subset is
-    also a bridge.  The answer is membership in `minimal_bridges`, so the
-    16-loop cap of the irreducible family applies; unknown loop names
-    raise ValueError.
+    also a bridge.  The answer is membership in `minimal_bridges`, whose
+    growth is exponential in the worst case and has no node budget;
+    unknown loop names raise ValueError.
     """
     return _mask_of(model, candidate) in _bridges(model, frozenset(subsystem))
 
@@ -697,17 +667,55 @@ def minimal_bridges(model: LinkModel, subsystem: Subsystem) -> tuple[frozenset[s
 
 
 def _bridges(model: LinkModel, subsystem: Subsystem) -> tuple[int, ...]:
-    """Masks of the minimal bridges of `minimal_bridges`, cached per subsystem."""
+    """Masks of the minimal bridges of `minimal_bridges`, cached per subsystem.
+
+    Neither structure tests the cut: a set of loops that is one block on
+    its own and misses the cut lies, by deletion-monotonicity, inside one
+    block of what the cut leaves, so it cannot meet both the interior and
+    the exterior.
+
+    A table's irreducible sublinks are its single-block entries, visited in
+    table order: by size, then loop indices.  Every crossing proper subset
+    of a bridge comes first and is either minimal or contains a minimal one.
+
+    With atoms, bridges are grown from the subsystem.  A minimal bridge is
+    the union of a chain of atoms, each adding loops, in which only the
+    first meets the interior and only the last the exterior: cutting any
+    crossing chain inside a bridge at its last interior atom and at its
+    first exterior atom leaves a bridge.  So unions start from the atoms
+    that meet the interior and grow by an atom at one of their loops that
+    adds loops and misses the interior; a union meeting the exterior stops
+    growing.  Unions are popped by size, then loop indices, so any bridge
+    inside a union is recorded before it, and a union that contains one is
+    dropped.  The growth visits irreducible sublinks only, each once; it is
+    exponential in the worst case and has no node budget.
+    """
     cached = model._cache.get(("bridges", subsystem))
     if cached is not None:
         return cached
-    _, removed, interior, exterior = _min_cut(model, subsystem)
+    _, _, interior, exterior = _min_cut(model, subsystem)
     minimal: list[int] = []
-    # the family runs by size, so every crossing proper subset of a bridge
-    # comes first and is either minimal or contains a minimal one
-    for b in _irreducible_family(model):
-        if b & interior and b & exterior and b & removed and all(m & ~b for m in minimal):
-            minimal.append(b)
+    if model._table is not None:
+        for b, blocks in model._table.items():
+            if len(blocks) == 1 and b & interior and b & exterior and all(m & ~b for m in minimal):
+                minimal.append(b)
+    else:
+        seen = {atom for atom in model._atoms if atom & interior}
+        heap = [(b.bit_count(), _indices(b), b) for b in seen]
+        heapify(heap)
+        while heap:
+            union = heappop(heap)[2]
+            if any(not m & ~union for m in minimal):
+                continue
+            if union & exterior:
+                minimal.append(union)
+                continue
+            for i in _indices(union):
+                for atom in model._atoms_at[i]:
+                    grown = union | atom
+                    if grown not in seen and not atom & interior:
+                        seen.add(grown)
+                        heappush(heap, (grown.bit_count(), _indices(grown), grown))
     result = model._cache[("bridges", subsystem)] = tuple(minimal)
     return result
 

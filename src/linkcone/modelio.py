@@ -54,8 +54,6 @@ def _parse_external(obj) -> dict[int, str]:
         if not isinstance(name, str):
             raise ModelFileError(f"external target for {letter!r} must be a name")
         mapping[idx] = name
-    if sorted(mapping) != list(range(1, parties + 1)):
-        raise ModelFileError("external letters must be consecutive from 'A'")
     return mapping
 
 

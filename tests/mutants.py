@@ -214,6 +214,36 @@ CATALOGUE = (
         'tuple(frozenset(_names(b, "a block"))',
         ("tests/test_modelio_cli.py::TestModelIO::test_list_repeating_a_name",),
     ),
+    Mutant(
+        "bridges-keep-supersets-of-a-bridge",
+        "src/linkcone/links.py",
+        "if any(not m & ~union for m in minimal):",
+        "if False:",
+        ("tests/test_links.py::TestFamilyMatchesBruteForce",),
+    ),
+    Mutant(
+        "bridges-recorded-at-the-cut",
+        "src/linkcone/links.py",
+        "if union & exterior:",
+        "if union & ~interior & ~exterior:",
+        ("tests/test_links.py::TestFamilyMatchesBruteForce",),
+    ),
+    Mutant(
+        "bridges-grow-through-the-interior",
+        "src/linkcone/links.py",
+        "if grown not in seen and not atom & interior:",
+        "if grown not in seen:",
+        ("tests/test_links.py::TestFamilyMatchesBruteForce",),
+        # the interior test only prunes: it saves most of the growth on dense models
+        "a crossing union with a second interior atom holds a minimal bridge, which is popped first",
+    ),
+    Mutant(
+        "table-bridges-of-several-blocks",
+        "src/linkcone/links.py",
+        "if len(blocks) == 1 and b & interior",
+        "if b & interior",
+        ("tests/test_links.py::TestTableMatchesAtoms",),
+    ),
 )
 
 

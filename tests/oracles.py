@@ -167,15 +167,35 @@ def bruteforce_link_mincut(model: LinkModel, subsystem: Subsystem):
 
 
 def bruteforce_irreducible_family(model: LinkModel) -> list[int]:
-    """Masks of every loop subset that BFS finds to be one block of size >= 2.
+    """Masks of every loop subset of size >= 2 that is one block.
 
-    Ordered by size, then by the ascending list of loop indices.
+    A table is read entry by entry.  With atoms each subset is tested on
+    its own: starting from its lowest loop, the atoms inside it are
+    absorbed until none adds a loop, and the subset is one block when
+    every loop was reached.  Ordered by size, then by the ascending list
+    of loop indices.
     """
+    structure = model.structure
+    atoms = isinstance(structure, AtomicLinkages)
+    masks = [sum(1 << model.loop_index(x) for x in atom) for atom in structure.atoms] if atoms else []
     family = []
     for size in range(2, len(model.loops) + 1):
         for combo in itertools.combinations(range(len(model.loops)), size):
-            if len(_bfs_blocks(model, frozenset(model.loops[i] for i in combo))) == 1:
-                family.append(sum(1 << i for i in combo))
+            subset = sum(1 << i for i in combo)
+            if not atoms:
+                if len(structure.blocks(frozenset(model.loops[i] for i in combo))) == 1:
+                    family.append(subset)
+                continue
+            inside = [atom for atom in masks if not atom & ~subset]
+            reached, grown = 1 << combo[0], True
+            while grown:
+                grown = False
+                for atom in inside:
+                    if atom & reached and atom & ~reached:
+                        reached |= atom
+                        grown = True
+            if reached == subset:
+                family.append(subset)
     return family
 
 

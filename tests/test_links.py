@@ -29,7 +29,6 @@ from linkcone.links import (
     _blocks,
     _indices,
     _interior,
-    _irreducible_family,
     _names_of,
     _subsystem_externals,
     bridge_oracle,
@@ -360,15 +359,17 @@ class TestTableMatchesAtoms:
         atoms_model, table_model, table = self._pair(seed)
         for subset in table:
             assert connected_sublinks(table_model, subset) == connected_sublinks(atoms_model, subset)
+        # the table's single-block entries against the atoms' brute-force family
+        family = bruteforce_irreducible_family(atoms_model)
         for sub in all_subsystems(atoms_model.n):
             a, t = link_min_cut(atoms_model, sub), link_min_cut(table_model, sub)
             assert (t.cut, t.weight, t.interior, t.exterior) == (a.cut, a.weight, a.interior, a.exterior)
             assert minimal_bridges(table_model, sub) == minimal_bridges(atoms_model, sub)
-        assert _irreducible_family(table_model) == _irreducible_family(atoms_model)
+            assert list(minimal_bridges(table_model, sub)) == bruteforce_minimal_bridges(atoms_model, family, a)
 
 
 class TestFamilyMatchesBruteForce:
-    """Atom-union growth of the irreducible family against BFS over every loop subset."""
+    """Irreducibility and bridges grown from the subsystem against a scan over every loop subset."""
 
     @pytest.mark.parametrize("loops", range(6, 14))
     @pytest.mark.parametrize("atoms", [0, 3, 7])
@@ -376,7 +377,8 @@ class TestFamilyMatchesBruteForce:
         model = generate_link_model(2 + loops % 2, loops, atoms, max_arity=2 + (loops + atoms) % 3,
                                     seed=100 * loops + atoms)
         family = bruteforce_irreducible_family(model)
-        assert list(_irreducible_family(model)) == family
+        everything = range(1, 1 << len(model.loops))
+        assert [m for m in everything if is_irreducible(model, _names_of(model, m))] == sorted(family)
         assert atoms or not family
         for sub in all_subsystems(model.n):
             expected = bruteforce_minimal_bridges(model, family, link_min_cut(model, sub))
@@ -549,7 +551,7 @@ class TestPairAtomFlow:
         outcomes = set()
         for seed in range(block * 60, block * 60 + 60):
             m = pair_atom_model(seed)
-            family = list(_irreducible_family(m))
+            family = bruteforce_irreducible_family(m)
             # the model's one cut network serves every subsystem, in either order
             subsystems = all_subsystems(m.n)[::-1] if seed % 2 else all_subsystems(m.n)
             results = {}
@@ -658,8 +660,8 @@ class TestWitnessSearch:
     """Atoms of three or more loops and tables run the witness branching; the subset search is the reference."""
 
     @staticmethod
-    def _check_model(m, rng, bridges=True):
-        family = bruteforce_irreducible_family(m) if bridges else None
+    def _check_model(m, rng):
+        family = bruteforce_irreducible_family(m)
         outcomes = set()
         for sub in all_subsystems(m.n):
             expected = _min_cut_or_error(reference_link_min_cut, m, sub)
@@ -677,8 +679,7 @@ class TestWitnessSearch:
                 exterior = ((1 << len(m.loops)) - 1) & ~mask & ~interior
                 sides = (_names_of(m, interior), _names_of(m, exterior))
                 assert sides == reference_cut_sides(m, sub, cut), (sub, cut)
-            if bridges:
-                assert list(minimal_bridges(m, sub)) == bruteforce_minimal_bridges(m, family, expected), sub
+            assert list(minimal_bridges(m, sub)) == bruteforce_minimal_bridges(m, family, expected), sub
         return outcomes
 
     @pytest.mark.parametrize("block", range(4))
@@ -707,7 +708,7 @@ class TestWitnessSearch:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_tables_match_subset_search(self, seed):
-        self._check_model(held_table_model(seed), random.Random(seed), bridges=False)
+        self._check_model(held_table_model(seed), random.Random(seed))
 
     def test_cliff_model_full_vector(self):
         # 34 candidate loops: the subset search did not finish this vector in a minute
@@ -913,26 +914,40 @@ class TestIrreducibleAndBridges:
     def test_hub_sits_in_irreducible_quads(self):
         assert is_irreducible(ray15_link(), {"A", "B", "u1", "w2"})
 
-    def test_bridge_functions_refuse_more_than_16_loops(self):
-        # the irreducible family behind every bridge function is capped at
-        # 16 loops, while the min-cut search has no such cap
+    def test_bridge_functions_answer_past_16_loops(self):
+        # bridges grow from each subsystem, so no loop count is refused
         from linkcone.certificates import compute_oracular_indicator
 
         m = generate_link_model(2, 17, 9, 3, seed=3)
         assert len(m.loops) == 17
         assert [link_min_cut(m, sub).weight for sub in all_subsystems(2)] == [1, 1, 1]
         a = frozenset({1})
-        calls = [
-            lambda: minimal_bridges(m, a),
-            lambda: bridge_oracle(m, a, {"A", "u0"}),
-            lambda: k_loop_stratification(m, a),
-            lambda: has_single_crossing_bridges(m),
-            lambda: compute_oracular_indicator(m, parse_inequality("S(A) + S(B) >= S(AB)", 2)),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError) as raised:
-                call()
-            assert str(raised.value) == "irreducible-sublink enumeration is supported for at most 16 loops"
+        assert minimal_bridges(m, a) == (frozenset({"A", "u0", "u1"}),)
+        assert bridge_oracle(m, a, {"A", "u0", "u1"}) and not bridge_oracle(m, a, {"A", "u0"})
+        assert k_loop_stratification(m, a) == {"u0": 3}
+        assert has_single_crossing_bridges(m)
+        table = compute_oracular_indicator(m, parse_inequality("S(A) + S(B) >= S(AB)", 2))
+        assert [(e.loop, sorted(e.bridge)) for e in table.entries] == [("u0", ["A", "u0", "u1"]),
+                                                                       ("u1", ["B", "u1", "u8"])]
+        family = bruteforce_irreducible_family(m)
+        for sub in all_subsystems(2):
+            assert list(minimal_bridges(m, sub)) == bruteforce_minimal_bridges(m, family, link_min_cut(m, sub))
+
+    def test_each_bridge_of_a_28_loop_model_is_minimal(self):
+        # too many loops for a scan over every subset, so each bridge is checked on its own
+        m = generate_link_model(3, 28, 50, 3, seed=1)
+        count = 0
+        for sub in all_subsystems(3):
+            result = link_min_cut(m, sub)
+            for bridge in minimal_bridges(m, sub):
+                count += 1
+                assert is_irreducible(m, bridge), (sub, bridge)
+                assert bridge & result.interior and bridge & result.exterior and bridge & result.cut, (sub, bridge)
+                # a bridge inside it would leave one block of what remains meeting both sides
+                for loop in bridge:
+                    for block in connected_sublinks(m, bridge - {loop}):
+                        assert not (block & result.interior and block & result.exterior), (sub, bridge, loop)
+        assert count == 81
 
 
 class TestStratification:

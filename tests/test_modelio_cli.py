@@ -264,9 +264,9 @@ class TestCli:
         assert code == 1
         assert "violated 3 < 4" in capsys.readouterr().out
 
-    def test_certificate_check_refuses_more_than_16_loops(self, tmp_path, capsys):
-        # check 1 passes on the union-cut map; the indicator table behind
-        # check 2 needs the irreducible family, capped at 16 loops
+    def test_certificate_check_passes_past_16_loops(self, tmp_path, capsys):
+        # the union-cut map passes; bridges grow from each subsystem, so the
+        # indicator table behind check 2 refuses no loop count
         from linkcone.certificates import build_trit_partition, derive_rhs_assignment, union_cut_zero_assignment
         from linkcone.core import parse_inequality
 
@@ -279,10 +279,11 @@ class TestCli:
             "--ineq", write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)"),
             "--method", "certificate", "--map", write(tmp_path, "cert.json", trit_map_to_json(cmap)),
         ]
-        assert main(argv) == 3
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: irreducible-sublink enumeration is supported for at most 16 loops\n"
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert (report["ok"], report["reason"], report["violation"]) == (True, None, None)
 
     def test_check_ineq_certificate_failure_reported(self, tmp_path, capsys):
         # a map sending every cell to +1 cannot give a valid RHS cut
@@ -343,6 +344,48 @@ class TestCli:
         assert main(["convert", "--builtin", "ray15"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: convert expects a hypergraph model file\n")
+
+    def test_certificate_on_a_graph_is_semantic_error(self, tmp_path, capsys):
+        graph = {"kind": "graph", "vertices": ["a", "b", "o"], "external": {"A": "a", "B": "b", "C": "o"},
+                 "edges": [["a", "o", 1], ["b", "o", 1]]}
+        argv = ["check-ineq", "--model", write(tmp_path, "g.json", graph),
+                "--ineq", write(tmp_path, "sa.txt", "S(A) + S(B) >= S(AB)"),
+                "--method", "certificate", "--map", write(tmp_path, "map.json", {"-1,-1": "-1"})]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: certificate checking applies to link models\n")
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            # six distinct letters can only be A..F, so a skipped one is a letter out of range
+            ({"kind": "graph", "vertices": list("abcdef"), "external": dict(zip("ABCDEG", "abcdef")),
+              "edges": [["a", "b", 1]]}, "bad external party letter 'G'"),
+            ([{"kind": "graph", "vertices": ["a", "o"], "external": {"A": "a", "B": "o"}, "edges": []}],
+             "model file must contain a JSON object"),
+        ],
+    )
+    def test_malformed_model_file_is_parse_error(self, tmp_path, capsys, model, message):
+        assert main(["entropy-vector", "--model", write(tmp_path, "bad.json", model)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "cmap, message",
+        [
+            ({"1": "1"}, "cell (1,) does not have length 2"),
+            ({"-1,-1": -1}, "image of '-1,-1' must be a trit-string"),
+            ({"-1,-1": "2"}, "bad trit-string '2'"),
+            ({}, "trit map file must contain a nonempty JSON object"),
+        ],
+    )
+    def test_malformed_trit_map_is_parse_error(self, tmp_path, capsys, cmap, message):
+        argv = ["check-ineq", "--model", write(tmp_path, "m.json", FUZZ_FILES["atoms"]),
+                "--ineq", write(tmp_path, "sa.txt", FUZZ_SA),
+                "--method", "certificate", "--map", write(tmp_path, "map.json", cmap)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
 
     def test_certificate_without_map_is_usage_error(self, tmp_path, capsys):
         model = self._ray15_file(tmp_path)
