@@ -6,20 +6,22 @@ that term's cut interior, 0 inside the cut itself, -1 in the exterior.
 Loops sharing a trit-string form a cell, and the cells partition the
 loop set.  A trit-string map then assembles candidate RHS cuts out of
 cells, and a bridge-driven indicator table supplies the combinatorial
-inequality that has to hold tuple by tuple.  Inside, an RHS cut is the
-OR of its zero cells' loop masks, and one `links._interior` call gives
-its validity and every other cell's sign.  Crediting works on masks too:
-a minimal bridge is a loop mask, its AND with the min-cut mask must hold
-one loop, and the gray loops left are a mask; loop names are built only
-for the table's entries and colorings and for error messages.
+inequality that has to hold tuple by tuple.
 
-The partition and the indicator table depend only on the model and the
-inequality's LHS, so each is built once per model and LHS and cached on
-the model, with the support grouped for the per-tuple check.  A check
-then does only the work that depends on its map.  The partitions and
-tables returned are shared between calls, so their mappings (a
-partition's `cells` and `loop_trits`, a table's `coloring` and each of
-its per-term colorings) are read-only.
+What depends only on the model and the LHS subsystems, not on the
+coefficients, is built once and cached on the model (`_CertSetup`): the
+partition, the loop masks of the cells and the LHS min-cuts, every
+finite loop's weight scaled to an `int` by one LCM, the indicator table
+with its support grouped per tuple (on first use), and every RHS split
+seen.  An RHS cut is the OR of its zero cells' masks, and one
+`links._interior` call per distinct (RHS subsystem, cut) gives its
+validity, its weight and every cell's sign, for deriving and checking
+maps alike.  A check scales the coefficients by the LCM of their
+denominators and compares `int`s, which is exact; a `Fraction` is built
+only for its diagnostics, loop names only for the table and messages.
+The partitions and tables returned are shared between calls, so their
+mappings (a partition's `cells` and `loop_trits`, a table's `coloring`
+and each of its per-term colorings) are read-only.
 
 All checks are instance-level: the indicator table depends on the chosen
 min-cuts of one specific model, so a passing certificate establishes the
@@ -32,21 +34,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .core import LinearInequality, Subsystem, _store, subsystem_label
+from .core import LinearInequality, Subsystem, _store, scale_of, scaled, subsystem_label
 from .links import (
-    LinkModel,
-    LoopCutResult,
-    StratificationError,
-    _bridges,
-    _check_cut,
-    _indices,
-    _interior,
-    _mask_of,
-    _min_cut,
-    _names_of,
-    _subsystem_externals,
-    link_min_cut,
+    LinkModel, LoopCutResult, StratificationError, _bridges, _check_cut, _indices, _interior, _mask_of, _min_cut,
+    _names_of, _subsystem_externals, link_min_cut,
 )
 
 Trits = tuple[int, ...]
@@ -68,8 +61,6 @@ class TritPartition:
     cells: Mapping[Trits, frozenset[str]]
     loop_trits: Mapping[str, Trits]
     cuts: tuple[LoopCutResult, ...]
-    # the loop mask of every cell, set by `build_trit_partition`
-    _cell_masks: dict[Trits, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _store(self, cells=MappingProxyType(dict(self.cells)), loop_trits=MappingProxyType(dict(self.loop_trits)))
@@ -78,41 +69,60 @@ class TritPartition:
         return self.loop_trits[loop]
 
 
+class _CertSetup(NamedTuple):
+    partition: TritPartition
+    masks: tuple[int, ...]  # loop mask of every cell, in `partition.cells` order
+    lhs_cuts: tuple[int, ...]  # min-cut mask of every LHS term
+    scale: int  # `scale_of` every finite loop's weight
+    weight_of: dict[int, int]  # finite loop index -> weight times `scale`
+    lhs_weights: tuple[int, ...]  # every LHS min-cut's weight times `scale`
+    splits: dict  # (RHS subsystem, cut mask) -> `_split`
+    credited: list  # [table, support grouped as ((cover, size, cells), LHS term indices)] once credited
+
+
 def build_trit_partition(model: LinkModel, ineq: LinearInequality) -> TritPartition:
     """Assign each loop its trit-string and materialize the nonempty cells.
 
     Trits are read off the loop masks of each min-cut and its interior, so
     the +1 cells of a term make up its interior and the 0 cells its cut.
-    The partition is built once per model and LHS and then shared by every
-    later call, so its mappings are read-only.
+    The partition is built once per model and LHS subsystems and then
+    shared by every later call, so its mappings are read-only.
     """
+    return _setup(model, ineq).partition
+
+
+def _setup(model: LinkModel, ineq: LinearInequality) -> _CertSetup:
+    """The certificate setup of the inequality's LHS subsystems, built on first use."""
     if ineq.n != model.n:
         raise ValueError(f"party-count mismatch: inequality n={ineq.n}, model n={model.n}")
-    key = ("partition", ineq.lhs)
-    partition = model._cache.get(key)
-    if partition is None:
-        partition = model._cache[key] = _build_partition(model, ineq)
-    return partition
+    key = ineq.lhs_subsystems  # a tuple of subsystems, unlike any other key of the model's cache
+    setup = model._cache.get(key)
+    if setup is None:
+        setup = model._cache[key] = _build_partition(model, ineq)
+    return setup
 
 
-def _build_partition(model: LinkModel, ineq: LinearInequality) -> TritPartition:
-    """The uncached body of `build_trit_partition`."""
+def _build_partition(model: LinkModel, ineq: LinearInequality) -> _CertSetup:
+    """The uncached body of `_setup`."""
     cuts = tuple(link_min_cut(model, sub) for sub in ineq.lhs_subsystems)
-    sides = [_min_cut(model, sub)[1:3] for sub in ineq.lhs_subsystems]  # (cut, interior) masks
-    loop_trits: dict[str, Trits] = {}
+    lhs_cuts, columns = [], []  # every term's cut mask and the trit of every loop
+    for sub in ineq.lhs_subsystems:
+        cut, interior = _min_cut(model, sub)[1:3]
+        lhs_cuts.append(cut)
+        columns.append([1 if interior >> i & 1 else 0 if cut >> i & 1 else -1 for i in range(len(model.loops))])
+    loop_trits = dict(zip(model.loops, zip(*columns)))
     masks: dict[Trits, int] = {}
-    for i, loop in enumerate(model.loops):
-        trits = tuple(1 if interior >> i & 1 else 0 if cut >> i & 1 else -1 for cut, interior in sides)
-        loop_trits[loop] = trits
+    for i, trits in enumerate(loop_trits.values()):
         masks[trits] = masks.get(trits, 0) | 1 << i
-    partition = TritPartition(
-        length=len(ineq.lhs),
-        cells={trits: _names_of(model, mask) for trits, mask in masks.items()},
-        loop_trits=loop_trits,
-        cuts=cuts,
-    )
-    object.__setattr__(partition, "_cell_masks", masks)
-    return partition
+    partition = TritPartition(len(ineq.lhs), {t: _names_of(model, m) for t, m in masks.items()}, loop_trits, cuts)
+    weights = model._cache.get("finite_weights")  # shared by every LHS of the model
+    if weights is None:
+        finite = {i: w for i, w in enumerate(model.weights[loop] for loop in model.loops) if type(w) is Fraction}
+        scale = scale_of(finite.values())
+        weights = model._cache["finite_weights"] = scale, {i: scaled(w, scale) for i, w in finite.items()}
+    scale, weight_of = weights
+    lhs_weights = tuple(scaled(cut.weight, scale) for cut in cuts)
+    return _CertSetup(partition, tuple(masks.values()), tuple(lhs_cuts), scale, weight_of, lhs_weights, {}, [])
 
 
 @dataclass(frozen=True)
@@ -158,43 +168,30 @@ def compute_oracular_indicator(model: LinkModel, ineq: LinearInequality) -> Orac
     switches the indicator on for the covering cell tuple.  Any gray loop
     surviving the scan signals a non-minimal cut or an inconsistent
     structure.  Like the partition, the table is built once per model and
-    LHS and then shared, so its colorings are read-only.
+    LHS subsystems and then shared, so its colorings are read-only.
     """
-    return _indicator(model, ineq, build_trit_partition(model, ineq))[0]
+    return _credited(model, ineq, _setup(model, ineq))[0]
 
 
-def _indicator(
-    model: LinkModel, ineq: LinearInequality, partition: TritPartition
-) -> tuple[OracularIndicatorTable, tuple, Fraction]:
-    """The LHS's indicator table, its support grouped for check 2, and the LHS cut total.
+def _credited(model: LinkModel, ineq: LinearInequality, setup: _CertSetup) -> list:
+    """The setup's indicator table and support groups, credited on first use; an error caches nothing."""
+    if not setup.credited:
+        setup.credited[:] = _credit_bridges(model, ineq, setup)
+    return setup.credited
 
-    Check 2 needs, per support key (cover, size, cells), the alpha sum of
-    the terms holding it and their count.  Like the LHS cut total, these
-    depend only on the LHS, so they are built with the table, once per
-    model and LHS, over its cached `partition`.  A crediting error leaves
-    nothing cached and is raised again by the next call.
+
+def _credit_bridges(model: LinkModel, ineq: LinearInequality, setup: _CertSetup) -> tuple:
+    """The crediting scan of `compute_oracular_indicator` over a built setup, and its support grouped.
+
+    A group is a support key (cover, size, cells) with the LHS terms
+    holding it, in the support's order, so check 2 reports the first
+    failing key in it.
     """
-    key = ("indicator", ineq.lhs)
-    state = model._cache.get(key)
-    if state is None:
-        table = _credit_bridges(model, ineq, partition)
-        alphas = ineq.lhs_coeffs
-        by_tuple: dict[tuple[int, int, tuple[Trits, ...]], list[Fraction]] = {}
-        for l, cover, size, cells in table.support:
-            by_tuple.setdefault((cover, size, cells), []).append(alphas[l])
-        groups = tuple((tup, sum(terms, Fraction(0)), len(terms)) for tup, terms in by_tuple.items())
-        lhs_total = sum((alpha * cut.weight for alpha, cut in zip(alphas, partition.cuts)), Fraction(0))
-        state = model._cache[key] = (table, groups, lhs_total)
-    return state
-
-
-def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPartition) -> OracularIndicatorTable:
-    """The crediting scan of `compute_oracular_indicator` over an already built partition."""
-    trits = [partition.loop_trits[loop] for loop in model.loops]
+    trits = list(setup.partition.loop_trits.values())
     entries: list[IndicatorEntry] = []
     coloring: dict[int, dict[str, str]] = {}
     for l, subsystem in enumerate(ineq.lhs_subsystems):
-        gray = cut = _min_cut(model, subsystem)[1]
+        gray = cut = setup.lhs_cuts[l]
         # in declaration order, so the coloring's key order ignores PYTHONHASHSEED
         colors = {model.loops[i]: "gray" for i in _indices(cut)}
         scheduled = []
@@ -209,33 +206,37 @@ def _credit_bridges(model: LinkModel, ineq: LinearInequality, partition: TritPar
             head = trits[hit.bit_length() - 1]
             cells = (head, *sorted({trits[i] for i in indices} - {head}))
             scheduled.append(((len(indices), len(cells), cells, indices), bridge, hit, cells))
-        credited_weight = Fraction(0)
+        credited_weight = 0
         for _, bridge, hit, cells in sorted(scheduled):
             if not gray & hit:
                 continue
             gray ^= hit
-            loop = model.loops[hit.bit_length() - 1]
-            colors[loop] = "green"
-            credited_weight += Fraction(model.weights[loop])
-            head = cells[0]
-            if head[l] != 0:
+            i = hit.bit_length() - 1
+            colors[model.loops[i]] = "green"
+            credited_weight += setup.weight_of[i]
+            if cells[0][l] != 0:
                 raise RuntimeError("credited cell must sit inside the term's min-cut")
-            signs = [c[l] for c in cells[1:]]
-            if not all(s in (-1, 1) for s in signs):
+            signs = {c[l] for c in cells[1:]}
+            if 0 in signs:
                 raise RuntimeError("covering cells must avoid the cut coordinate")
-            if not (1 in signs and -1 in signs):
+            if len(signs) < 2:
                 raise RuntimeError("a bridge must reach both interior and exterior")
-            entries.append(IndicatorEntry(l, len(cells), bridge.bit_count(), cells, loop, _names_of(model, bridge)))
+            entries.append(
+                IndicatorEntry(l, len(cells), bridge.bit_count(), cells, model.loops[i], _names_of(model, bridge))
+            )
         if gray:
             raise StratificationError(
                 f"min-cut loops {sorted(_names_of(model, gray))} of {subsystem_label(subsystem)} "
                 "were never credited by any minimal bridge"
             )
-        if credited_weight != partition.cuts[l].weight:
+        if credited_weight != setup.lhs_weights[l]:
             raise RuntimeError("credited loop weights must add up to the cut weight")
         coloring[l] = colors
     support = frozenset((e.term_index, e.cover_size, e.bridge_size, e.cells) for e in entries)
-    return OracularIndicatorTable(entries=tuple(entries), support=support, coloring=coloring, partition=partition)
+    groups: dict[tuple[int, int, tuple[Trits, ...]], list[int]] = {}
+    for l, cover, size, cells in support:
+        groups.setdefault((cover, size, cells), []).append(l)
+    return OracularIndicatorTable(tuple(entries), support, coloring, setup.partition), tuple(groups.items())
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ class TritContractionMap:
                 raise CertificateError(f"cell {cell} does not have length {self.length}")
             if len(image) != self.width:
                 raise CertificateError(f"image {image} does not have length {self.width}")
-            if not all(t in (-1, 0, 1) for t in cell + image):
+            if not all(map((-1, 0, 1).__contains__, cell + image)):
                 raise CertificateError("trit values must be -1, 0 or 1")
 
 
@@ -260,37 +261,36 @@ def _term_name(r: int, subsystem: Subsystem) -> str:
     return f"RHS term {r} ({subsystem_label(subsystem)})"
 
 
-def _rhs_cut_split(
-    model: LinkModel,
-    r: int,
-    subsystem: Subsystem,
-    zero_cells: set[Trits],
-    partition: TritPartition,
-):
-    """Mask of the cut induced for RHS term `r` by its zero cells, and the sign of every other cell.
+def _split(model: LinkModel, setup: _CertSetup, r: int, subsystem: Subsystem, column) -> tuple[Trits, int]:
+    """Every cell's sign and the scaled weight of the cut that the 0 cells of `column` make for RHS term `r`.
 
-    In `partition.cells` order: +1 inside the induced interior, -1 in the
-    exterior (other cells miss the cut), None for a cell that straddles both.
+    `column` and the signs follow `partition.cells`.  A sign is 0 in the cut, +1 in the induced interior,
+    -1 in the exterior and None for a cell straddling both.  Kept per (subsystem, cut); an unusable cut raises.
     """
-    masks = partition._cell_masks
-    if masks is None:  # a partition built by hand or by `dataclasses.replace`
-        masks = {cell: _mask_of(model, members) for cell, members in partition.cells.items()}
-    cut = 0
-    for cell in zero_cells:
-        cut |= masks[cell]
-    try:
-        inside, outside = _subsystem_externals(model, subsystem)
-        _check_cut(model, cut)
-    except ValueError as exc:
-        raise InconsistentAssignment(f"cut for {_term_name(r, subsystem)} is unusable: {exc}") from exc
-    interior = _interior(model, inside, cut)
-    if interior & outside:
-        raise InconsistentAssignment(f"zero cells of {_term_name(r, subsystem)} do not form a valid cut")
-    return cut, {
-        cell: 1 if not mask & ~interior else -1 if not mask & interior else None
-        for cell, mask in masks.items()
-        if cell not in zero_cells
-    }
+    cut = sum(mask for mask, t in zip(setup.masks, column) if not t)  # cells are disjoint
+    key = (subsystem, cut)
+    split = setup.splits.get(key)
+    if split is None:
+        try:
+            inside, outside = _subsystem_externals(model, subsystem)
+            _check_cut(model, cut)
+        except ValueError as exc:
+            split = None, ("cut for ", f" is unusable: {exc}")
+        else:
+            interior = _interior(model, inside, cut)
+            if interior & outside:
+                split = None, ("zero cells of ", " do not form a valid cut")
+            else:
+                signs = tuple(
+                    0 if mask & cut else 1 if not mask & ~interior else -1 if not mask & interior else None
+                    for mask in setup.masks
+                )
+                split = signs, sum(setup.weight_of[i] for i in _indices(cut))
+        setup.splits[key] = split
+    signs, rest = split
+    if signs is None:  # an unusable cut, kept as its message before and after the term's name
+        raise InconsistentAssignment(rest[0] + _term_name(r, subsystem) + rest[1])
+    return split
 
 
 def derive_rhs_assignment(
@@ -304,31 +304,30 @@ def derive_rhs_assignment(
     `zeros` maps a cell's trit-string to the RHS term indices where the
     map is 0.  Every other (cell, term) entry becomes +1 or -1 depending
     on whether the cell lands in the induced interior or exterior;
-    a cell straddling both is inconsistent.
+    a cell straddling both is inconsistent.  A `partition` other than the
+    model's own (built by hand, or a copy) gets its own cell masks and splits.
     """
-    if partition is None:
-        partition = build_trit_partition(model, ineq)
+    setup = _setup(model, ineq)
+    partition = setup.partition if partition is None else partition
+    terms = set(range(len(ineq.rhs)))
     zeros = {tuple(cell): frozenset(rs) for cell, rs in zeros.items()}
     for cell, rs in zeros.items():
         if cell not in partition.cells:
             raise CertificateError(f"zeros reference the empty cell {cell}")
-        if not rs <= set(range(len(ineq.rhs))):
+        if not rs <= terms:
             raise CertificateError(f"zeros for cell {cell} reference RHS terms out of range")
-    images: dict[Trits, list[int]] = {cell: [0] * len(ineq.rhs) for cell in partition.cells}
-    for r, subsystem in enumerate(ineq.rhs_subsystems):
-        zero_cells = {cell for cell in partition.cells if r in zeros.get(cell, frozenset())}
-        _, signs = _rhs_cut_split(model, r, subsystem, zero_cells, partition)
-        for cell, sign in signs.items():
-            if sign is None:
-                raise InconsistentAssignment(
-                    f"cell {cell} straddles the interior and exterior of {_term_name(r, subsystem)}"
-                )
-            images[cell][r] = sign
-    return TritContractionMap(
-        images={cell: tuple(img) for cell, img in images.items()},
-        length=partition.length,
-        width=len(ineq.rhs),
-    )
+    if partition is not setup.partition:
+        masks = tuple(_mask_of(model, members) for members in partition.cells.values())
+        setup = setup._replace(partition=partition, masks=masks, splits={})
+    rows = [zeros.get(cell, ()) for cell in partition.cells]
+    columns = []
+    for r, (subsystem, _) in enumerate(ineq.rhs):
+        signs = _split(model, setup, r, subsystem, [0 if r in rs else 1 for rs in rows])[0]
+        if None in signs:
+            cell, term = list(partition.cells)[signs.index(None)], _term_name(r, subsystem)
+            raise InconsistentAssignment(f"cell {cell} straddles the interior and exterior of {term}")
+        columns.append(signs)
+    return TritContractionMap(dict(zip(partition.cells, zip(*columns))), partition.length, len(ineq.rhs))
 
 
 def union_cut_zero_assignment(partition: TritPartition) -> dict[Trits, set[int]]:
@@ -377,79 +376,63 @@ def check_cut_contraction_certificate(
     cells) and `sample_seed` (seed a sample of them) change nothing; both
     are accepted for compatibility.
     """
-    partition = build_trit_partition(model, ineq)
-    undefined = [cell for cell in partition.cells if cell not in cmap.images]
-    if undefined:
-        raise CertificateError(f"map undefined on nonempty cells: {sorted(undefined)}")
-    if cmap.length != partition.length or cmap.width != len(ineq.rhs):
+    setup = _setup(model, ineq)
+    cells, images = setup.partition.cells, cmap.images
+    rows = [images.get(cell) for cell in cells]
+    if None in rows:
+        raise CertificateError(f"map undefined on nonempty cells: {sorted(c for c in cells if c not in images)}")
+    if cmap.length != setup.partition.length or cmap.width != len(ineq.rhs):
         raise CertificateError("map dimensions do not match the inequality")
 
     # check 1: zeros induce valid cuts and the signs match their interior/exterior
-    rhs_cuts: list[int] = []
-    for r, subsystem in enumerate(ineq.rhs_subsystems):
-        zero_cells = {cell for cell in partition.cells if cmap.images[cell][r] == 0}
+    cut_weights: list[int] = []
+    for r, ((subsystem, _), column) in enumerate(zip(ineq.rhs, zip(*rows))):
         try:
-            cut, signs = _rhs_cut_split(model, r, subsystem, zero_cells, partition)
+            signs, weight = _split(model, setup, r, subsystem, column)
         except InconsistentAssignment as exc:
             return CertificateCheck(ok=False, reason=str(exc))
-        for cell, expected in signs.items():
-            value = cmap.images[cell][r]
+        if signs != column:
+            cell, value, expected = next(entry for entry in zip(cells, column, signs) if entry[1] != entry[2])
+            term, side = _term_name(r, subsystem), "interior" if expected == 1 else "exterior"
             if expected is None:
-                return CertificateCheck(
-                    ok=False,
-                    reason=f"cell {cell} straddles the interior and exterior of {_term_name(r, subsystem)}",
-                )
-            if value != expected:
-                return CertificateCheck(
-                    ok=False,
-                    reason=(
-                        f"cell {cell} is assigned {value} for {_term_name(r, subsystem)} "
-                        f"but lies in the {'interior' if expected == 1 else 'exterior'}"
-                    ),
-                )
-        rhs_cuts.append(cut)
+                return CertificateCheck(False, f"cell {cell} straddles the interior and exterior of {term}")
+            return CertificateCheck(False, f"cell {cell} is assigned {value} for {term} but lies in the {side}")
+        cut_weights.append(weight)
 
-    # check 2: per-tuple domination over the indicator support
-    _, groups, lhs_total = _indicator(model, ineq, partition)
-    betas = ineq.rhs_coeffs
+    # check 2: per-tuple domination over the indicator support, on coefficients times `scale`
+    groups = _credited(model, ineq, setup)[1]
+    lhs, rhs = ineq.lhs, ineq.rhs
+    scale = scale_of(c for _, c in lhs + rhs)
+    alphas = [scaled(alpha, scale) for _, alpha in lhs]
+    betas = [scaled(beta, scale) for _, beta in rhs]
     # A tuple outside the support has 0 on both sides, so only support keys
     # can fail.  The RHS factor of a key is the betas of the terms its head
-    # cell's image sends to 0, summed once per image.
-    zero_beta: dict[Trits, Fraction] = {}
-    for tup, lhs_value, count in groups:
-        image = cmap.images[tup[2][0]]
+    # cell's image sends to 0, summed once per LHS term holding the key.
+    zero_beta: dict[Trits, int] = {}
+    for key, terms in groups:
+        image = images[key[2][0]]
         if image not in zero_beta:
-            zero_beta[image] = sum((beta for beta, t in zip(betas, image) if t == 0), Fraction(0))
-        rhs_value = zero_beta[image] * count
+            zero_beta[image] = sum(beta for beta, t in zip(betas, image) if t == 0)
+        lhs_value = sum(alphas[l] for l in terms)
+        rhs_value = zero_beta[image] * len(terms)
         if lhs_value < rhs_value:
-            return CertificateCheck(
-                ok=False,
-                reason="contraction condition violated on a covering tuple",
-                violation=tup,
-                diagnostics={"lhs": lhs_value, "rhs": rhs_value},
-            )
+            diagnostics = {"lhs": Fraction(lhs_value, scale), "rhs": Fraction(rhs_value, scale)}
+            return CertificateCheck(False, "contraction condition violated on a covering tuple", key, diagnostics)
 
-    # check 3: exact weight chain
-    rhs_cut_total = Fraction(0)
-    rhs_entropy_total = Fraction(0)
-    for r, (subsystem, beta) in enumerate(ineq.rhs):
-        cut_weight = sum((model.weights[model.loops[i]] for i in _indices(rhs_cuts[r])), Fraction(0))
-        entropy = model.entropy(subsystem)
+    # check 3: exact weight chain, on weights times `setup.scale` and coefficients times `scale`
+    lhs_total = sum(alpha * weight for alpha, weight in zip(alphas, setup.lhs_weights))
+    rhs_cut_total = rhs_entropy_total = 0
+    for (subsystem, _), beta, cut_weight in zip(rhs, betas, cut_weights):
+        entropy = scaled(model.entropy(subsystem), setup.scale)
         if cut_weight < entropy:
             raise RuntimeError("a valid cut can never undercut the min-cut")
         rhs_cut_total += beta * cut_weight
         rhs_entropy_total += beta * entropy
-    diagnostics = {
-        "lhs_cut_weight": lhs_total,
-        "rhs_cut_weight": rhs_cut_total,
-        "rhs_entropy": rhs_entropy_total,
-    }
+    totals = {"lhs_cut_weight": lhs_total, "rhs_cut_weight": rhs_cut_total, "rhs_entropy": rhs_entropy_total}
+    diagnostics = {name: Fraction(total, scale * setup.scale) for name, total in totals.items()}
     if lhs_total < rhs_cut_total:
-        return CertificateCheck(
-            ok=False,
-            reason="weight accounting failed: LHS min-cut weight below assembled RHS cut weight",
-            diagnostics=diagnostics,
-        )
+        reason = "weight accounting failed: LHS min-cut weight below assembled RHS cut weight"
+        return CertificateCheck(False, reason, diagnostics=diagnostics)
     return CertificateCheck(ok=True, diagnostics=diagnostics)
 
 

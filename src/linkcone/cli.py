@@ -8,7 +8,6 @@ the exact bytes parsed.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import string
 import sys
@@ -22,6 +21,7 @@ from .hypergraphs import Hypergraph
 from .links import LinkModel, hypergraph_to_link, ray15_link
 from .modelio import (
     ModelFileError,
+    _read_json,
     bit_map_to_json,
     dumps_json,
     format_rational,
@@ -118,8 +118,7 @@ def _cmd_check_ineq(args) -> int:
         raise _UsageError("--method certificate requires --map")
     if not isinstance(model, LinkModel):
         raise ValueError("certificate checking applies to link models")
-    obj = json.loads(read_text(args.map))
-    cmap = trit_map_from_json(obj, length=len(ineq.lhs), width=len(ineq.rhs))
+    cmap = trit_map_from_json(_read_json(args.map)[0], length=len(ineq.lhs), width=len(ineq.rhs))
     result = check_cut_contraction_certificate(model, ineq, cmap, exhaustive=args.exhaustive)
     violation = None
     if result.violation is not None:
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelFileError, InequalityParseError, json.JSONDecodeError) as exc:
+    except (ModelFileError, InequalityParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:  # uncuttable subsystems and certificate errors included

@@ -19,10 +19,10 @@ Models are frozen: assigning a field raises `FrozenInstanceError`, and
 `weights`, `external` and a table's `blocks_by_subset` are read-only
 copies, so item assignment raises `TypeError`.  Min-cuts, the cut
 network, the cut setup, name sets of loop masks, subsystems'
-external-loop masks and, per LHS of an inequality, the certificates'
-trit partitions and indicator tables are cached per model on first use
-(a race only computes an entry twice) and returned shared: do not
-mutate them.
+external-loop masks and, per LHS subsystems of an inequality, the
+certificates' setup (`certificates._CertSetup`) are cached per model
+on first use (a race only computes an entry twice) and returned
+shared: do not mutate them.
 
 Internally a loop set is an `int` mask over declaration order (bit i is
 `loops[i]`).  The structure and each party's external-loop bit are

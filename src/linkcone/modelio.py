@@ -244,14 +244,30 @@ def read_text(path: str) -> str:
     return _decode(_read_bytes(path), path)
 
 
-def load_model_with_digest(path: str):
-    """The model in a file and the sha256 digest of the exact bytes parsed, from one read."""
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error, not silently overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFileError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
+def _read_json(path: str):
+    """The JSON value in a file and the sha256 of its bytes; bad JSON or a repeated key is a `ModelFileError`."""
     data = _read_bytes(path)
     try:
-        obj = json.loads(_decode(data, path))
+        obj = json.loads(_decode(data, path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
-    return model_from_json(obj), "sha256:" + hashlib.sha256(data).hexdigest()
+    return obj, "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def load_model_with_digest(path: str):
+    """The model in a file and the sha256 digest of the exact bytes parsed, from one read."""
+    obj, digest = _read_json(path)
+    return model_from_json(obj), digest
 
 
 def load_model(path: str):
@@ -295,14 +311,15 @@ def bit_map_to_json(mapping: dict[Bits, Bits]) -> dict[str, str]:
     }
 
 
+_TRITS = {"-1": -1, "0": 0, "1": 1}
+
+
 def _trits_from_key(key: str) -> Trits:
+    """Trits spelled as `trit_map_to_json` writes them: `-1`, `0` and `1`, joined by commas."""
     try:
-        trits = tuple(int(part) for part in key.split(","))
-    except ValueError as exc:
-        raise ModelFileError(f"bad trit-string {key!r}") from exc
-    if not trits or any(t not in (-1, 0, 1) for t in trits):
-        raise ModelFileError(f"bad trit-string {key!r}")
-    return trits
+        return tuple(_TRITS[part] for part in key.split(","))
+    except KeyError:
+        raise ModelFileError(f"bad trit-string {key!r}") from None
 
 
 def trit_map_from_json(obj, length: int, width: int) -> TritContractionMap:

@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIR_FLOW = "tests/test_links.py::TestPairAtomFlow::test_matches_subset_search"
+CERT_REFERENCE = "tests/test_certificates.py::TestCheckMatchesReference"
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,37 @@ CATALOGUE = (
         ("tests/test_links.py::TestFamilyMatchesBruteForce",),
         # the interior test only prunes: it saves most of the growth on dense models
         "a crossing union with a second interior atom holds a minimal bridge, which is popped first",
+    ),
+    Mutant(
+        "cert-weights-candidate-scale",
+        "src/linkcone/certificates.py",
+        "scale = scale_of(finite.values())",
+        "scale = scale_of(w for i, w in finite.items() if model._candidates >> i & 1)",
+        (CERT_REFERENCE,),
+        # a finite loop that is no candidate lies in no atom, so it shares the
+        # purifier's all -1 cell; a cut holding it is unusable and never weighed
+        "every loop of a usable RHS cut is a candidate, so the candidates' scale covers every weight read",
+    ),
+    Mutant(
+        "cert-coefficient-scale-lhs-only",
+        "src/linkcone/certificates.py",
+        "scale = scale_of(c for _, c in lhs + rhs)",
+        "scale = scale_of(c for _, c in lhs)",
+        (CERT_REFERENCE,),
+    ),
+    Mutant(
+        "cert-check2-rhs-without-group-count",
+        "src/linkcone/certificates.py",
+        "rhs_value = zero_beta[image] * len(terms)",
+        "rhs_value = zero_beta[image]",
+        (CERT_REFERENCE,),
+    ),
+    Mutant(
+        "cert-rhs-split-cached-without-cut",
+        "src/linkcone/certificates.py",
+        "key = (subsystem, cut)",
+        "key = subsystem",
+        (CERT_REFERENCE,),
     ),
     Mutant(
         "table-bridges-of-several-blocks",

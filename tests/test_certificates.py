@@ -44,6 +44,7 @@ from oracles import (
 )
 
 SA2 = parse_inequality("S(A) + S(B) >= S(AB)", 2)
+FRACTIONAL_WEIGHTS = (0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 7))
 
 
 def separating_inequality():
@@ -368,10 +369,40 @@ class TestCheckMatchesReference:
         3: ["S(A) + S(B) >= S(AB)", "S(AB) + S(C) >= S(ABC)", "S(AB) + 1/2 S(C) >= 4/3 S(ABC)",
             "S(AB) + S(BC) >= S(B) + S(ABC)"],
     }
+    # coefficients with denominators 2, 3 and 7 on both sides, for fractional weights
+    FRACTIONAL_INEQS = {
+        2: ["1/2 S(A) + 2/3 S(B) >= 3/7 S(AB)", "5/7 S(A) + 1/3 S(B) >= 1/2 S(AB)"],
+        3: ["1/2 S(AB) + 2/7 S(BC) >= 1/3 S(B) + 1/7 S(ABC)", "2/3 S(AB) + 1/2 S(C) >= 5/7 S(ABC)",
+            "S(AB) + S(BC) >= 2/3 S(B) + 3/7 S(ABC)"],
+    }
+
+    @classmethod
+    def _cases(cls):
+        """Models with the inequalities checked on them: integer weights, then fractional ones.
+
+        Each fractional model also gets a finite loop in no atom, of weight
+        3/11, a denominator no other loop has: it is no candidate for any
+        min-cut, and it shares the purifier's all -1 cell, so zero sets put
+        it into RHS cuts that are then unusable.
+        """
+        for seed in range(24):
+            parties = 2 + seed % 2
+            yield generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5,
+                                                     max_arity=4, seed=seed), cls.INEQS[parties]
+        for seed in range(12):
+            parties = 2 + seed % 2
+            m = generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5, max_arity=4,
+                                                   seed=seed, weight_choices=FRACTIONAL_WEIGHTS)
+            loops, weights = m.loops + ("z",), dict(m.weights, z=Fraction(3, 11))
+            yield LinkModel(loops, weights, m.external, m.structure), cls.FRACTIONAL_INEQS[parties]
 
     @staticmethod
     def _report(check, model, ineq, cmap, exhaustive):
-        result = check(model, ineq, cmap, exhaustive=exhaustive)
+        # zero weights can leave a cut loop in no minimal bridge, which both must raise alike
+        try:
+            result = check(model, ineq, cmap, exhaustive=exhaustive)
+        except StratificationError as exc:
+            return type(exc), str(exc)
         return result.ok, result.reason, result.violation, result.diagnostics
 
     @staticmethod
@@ -403,33 +434,40 @@ class TestCheckMatchesReference:
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_reports_equal(self, exhaustive):
         rng = random.Random(3)
-        outcomes = set()
-        for seed in range(24):
-            parties = 2 + seed % 2
-            m = generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5,
-                                                   max_arity=4, seed=seed)
-            for text in self.INEQS[parties]:
+        outcomes = {}  # per weight kind
+        for m, texts in self._cases():
+            parties = m.n
+            for text in texts:
                 ineq = parse_inequality(text, parties)
                 for cmap in self._maps(m, ineq, rng):
                     expected = self._report(reference_check_cut_contraction_certificate, m, ineq, cmap, exhaustive)
                     assert self._report(check_cut_contraction_certificate, m, ineq, cmap, exhaustive) == expected
-                    outcomes.add("ok" if expected[0] else "violation" if expected[2] else "rejected")
-        assert outcomes == {"ok", "violation", "rejected"}
+                    if len(expected) == 2:
+                        outcome = "raised"
+                    else:
+                        outcome = "ok" if expected[0] else "violation" if expected[2] else "rejected"
+                    outcomes.setdefault(texts is self.INEQS[parties], set()).add(outcome)
+        both = {"ok", "violation", "rejected"}
+        assert outcomes == {True: both, False: both | {"raised"}}
 
     def test_derive_matches_reference(self):
         # the same models and zero sets, plus zeros on an empty cell and on a term out of range
         rng = random.Random(3)
         outcomes = set()
-        for seed in range(24):
-            parties = 2 + seed % 2
-            m = generate_bridge_regular_link_model(parties, loops=7 + seed % 5, atoms=3 + seed % 5,
-                                                   max_arity=4, seed=seed)
-            for text in self.INEQS[parties]:
+        for m, texts in self._cases():
+            parties = m.n
+            for text in texts:
                 ineq = parse_inequality(text, parties)
                 part = build_trit_partition(m, ineq)
                 reference = reference_build_trit_partition(m, ineq)
                 assert (part, list(part.cells)) == (reference, list(reference.cells))
-                assert compute_oracular_indicator(m, ineq) == reference_credit_bridges(m, ineq, reference)
+                tables = []
+                for credit in (compute_oracular_indicator, self._reference_indicator):
+                    try:
+                        tables.append(credit(m, ineq))
+                    except StratificationError as exc:
+                        tables.append((type(exc), str(exc)))
+                assert tables[0] == tables[1]
                 empty = next(c for c in product((-1, 0, 1), repeat=part.length) if c not in part.cells)
                 zero_sets = self._zero_sets(part, ineq, rng) + [{empty: {0}}, {min(part.cells): {len(ineq.rhs)}}]
                 for zeros in zero_sets:
@@ -565,6 +603,22 @@ class TestCertificateCache:
         named = [report for report in expected if "RHS term" in (report.reason or "")]
         assert named and any(report.ok for report in expected)
         assert calls == ["subsystem_label"] * len(named)
+
+    def test_checks_reuse_the_rhs_splits(self, monkeypatch):
+        # a derived map's RHS cuts are split once, by the derivation: checking
+        # the map, or again any map whose RHS cuts were seen, finds no new cut side
+        m = generate_bridge_regular_link_model(3, loops=10, atoms=6, max_arity=4, seed=2)
+        ineq = parse_inequality("S(AB) + S(C) >= S(ABC)", 3)
+        cmap = derive_rhs_assignment(m, ineq, union_cut_zero_assignment(build_trit_partition(m, ineq)))
+        maps = TestCheckMatchesReference._maps(m, ineq, random.Random(5))
+        expected = [check_cut_contraction_certificate(m, ineq, c) for c in maps]
+        calls = []
+        for module in (links, certificates):
+            monkeypatch.setattr(module, "_interior", lambda *args, _f=links._interior: calls.append(args) or _f(*args))
+        assert check_cut_contraction_certificate(m, ineq, cmap).ok
+        assert calls == []
+        assert [check_cut_contraction_certificate(m, ineq, c) for c in maps] == expected
+        assert calls == []
 
     def test_crediting_does_no_name_work(self, monkeypatch):
         # with the partition (and so the LHS min-cuts) built, a cold crediting

@@ -377,6 +377,16 @@ class TestCli:
             ({"-1,-1": -1}, "image of '-1,-1' must be a trit-string"),
             ({"-1,-1": "2"}, "bad trit-string '2'"),
             ({}, "trit map file must contain a nonempty JSON object"),
+            # only the spelling `trit_map_to_json` writes: `int()` would read each of these as (1, 0),
+            # so the first map would name one cell twice and drop its first image
+            ({"1,0": "0", "01,0": "1"}, "bad trit-string '01,0'"),
+            ({"+1,0": "1"}, "bad trit-string '+1,0'"),
+            ({" 1,0": "1"}, "bad trit-string ' 1,0'"),
+            ({"1, 0": "1"}, "bad trit-string '1, 0'"),
+            ({"1,\u0660": "1"}, "bad trit-string '1,\u0660'"),  # an Arabic-Indic zero
+            ({"-0,1": "1"}, "bad trit-string '-0,1'"),
+            ({"-1,-1": "+1"}, "bad trit-string '+1'"),
+            ({"-1,-1,": "1"}, "bad trit-string '-1,-1,'"),
         ],
     )
     def test_malformed_trit_map_is_parse_error(self, tmp_path, capsys, cmap, message):
@@ -678,6 +688,47 @@ def test_off_schema_field_is_parse_error(tmp_path, capsys, kind, path, value):
     assert code == 2, captured
     assert captured.out == ""
     assert captured.err.startswith("parse error:")
+
+
+# every JSON object of every file kind: a repeated key in any of them is a parse error
+REPEATED_KEY_OBJECTS = [
+    ("graph", ()), ("graph", ("external",)),
+    ("hypergraph", ()), ("hypergraph", ("external",)), ("hypergraph", ("hyperedges", 0)),
+    ("atoms", ()), ("atoms", ("weights",)), ("atoms", ("external",)), ("atoms", ("structure",)),
+    ("table", ()), ("table", ("weights",)), ("table", ("external",)), ("table", ("structure",)),
+    ("table", ("structure", "table")),
+    ("map", ()),
+]
+
+
+def _with_repeated_key(obj, path) -> tuple[str, str]:
+    """JSON text of `obj` in which the object at `path` lists its first member twice, and that key."""
+    target = obj
+    for key in path:
+        target = target[key]
+    key, value = next(iter(target.items()))
+    text, inner = json.dumps(obj), json.dumps(target)
+    assert text.count(inner) == 1
+    return text.replace(inner, "{" + json.dumps({key: value})[1:-1] + ", " + inner[1:]), key
+
+
+@pytest.mark.parametrize("kind, path", REPEATED_KEY_OBJECTS)
+def test_repeated_key_is_parse_error(tmp_path, capsys, kind, path):
+    # `json.loads` alone keeps the last value: repeating a weight, a table entry or a
+    # map's cell with another value would change the model or the map without a word
+    if kind == "map":
+        obj = FUZZ_FILES["map"]
+        argv = ["check-ineq", "--model", write(tmp_path, "m.json", FUZZ_FILES["atoms"]),
+                "--ineq", write(tmp_path, "sa.txt", FUZZ_SA), "--method", "certificate", "--map"]
+    else:
+        obj = SCHEMA_MODELS[kind]
+        argv = ["entropy", "--subsystem", "A", "--model"]
+    assert main(argv + [write(tmp_path, "ok.json", obj)]) == 0
+    capsys.readouterr()
+    text, key = _with_repeated_key(obj, path)
+    assert main(argv + [write(tmp_path, "bad.json", text)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: repeated key {key!r} in a JSON object\n")
 
 
 # Exit-code fuzz: valid files of every kind, one field replaced by a random JSON value.
